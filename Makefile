@@ -73,21 +73,18 @@ bench-regress-pr8:
 	$(GO) run ./cmd/benchjson -in bench_pr8_current.out -out bench_pr8_current.json
 	$(GO) run ./tools/benchregress -baseline BENCH_PR8.json -current bench_pr8_current.json -tolerance 0.30
 
-# bench-pr9 captures the fixpoint-solver layer: the delay-aware RTA over
-# warm-seeded task sets under the monotone baseline and the cutting-plane
-# solver, at several delay-curve sizes. The report's speedup table pairs
-# solver=monotone with solver=cutting (ns/op), and the rta-iters/op metric
-# records the engine-evaluation count each solver needed — the cutting
-# solver's count is the one the PR 9 acceptance bar (≥25% below the
-# warm-start baseline) is read from.
+# bench-pr9 captures the fixpoint layer: the delay-aware RTA over
+# warm-seeded task sets (monotone iteration, the only RTA solver) at several
+# delay-curve sizes. The rta-iters/op metric records the engine-evaluation
+# count per analysis pass.
 bench-pr9:
 	$(GO) test . -run '^$$' -bench 'RTASolver' -benchmem > bench_pr9.out
 	$(GO) run ./cmd/benchjson -in bench_pr9.out -out BENCH_PR9.json
 	@echo "wrote BENCH_PR9.json"
 
-# bench-regress-pr9 is bench-regress for the solver layer: rerun the
-# solver-comparison benchmarks and compare against the checked-in
-# BENCH_PR9.json baseline (machine-speed normalised).
+# bench-regress-pr9 is bench-regress for the fixpoint layer: rerun the RTA
+# benchmarks and compare against the checked-in BENCH_PR9.json baseline
+# (machine-speed normalised).
 bench-regress-pr9:
 	$(GO) test . -run '^$$' -bench 'RTASolver' -benchtime 300ms -benchmem > bench_pr9_current.out
 	$(GO) run ./cmd/benchjson -in bench_pr9_current.out -out bench_pr9_current.json
@@ -97,10 +94,10 @@ bench-regress-pr9:
 # and response-time explorations with and without merging + dominance
 # pruning (the mode=naive vs mode=pruned pairs report both the ns/op
 # speedup and the states/op reduction the PR 10 acceptance bar — ≥10×
-# fewer explored states — is read from), the parallel-frontier scaling
-# ladder, and the content-addressed memoization pair.
+# fewer explored states — is read from) and the content-addressed
+# memoization pair.
 bench-pr10:
-	$(GO) test . -run '^$$' -bench 'Exact(Delay|SAG|Frontier|Memo)' -benchmem > bench_pr10.out
+	$(GO) test . -run '^$$' -bench 'Exact(Delay|SAG|Memo)' -benchmem > bench_pr10.out
 	$(GO) run ./cmd/benchjson -in bench_pr10.out -out BENCH_PR10.json
 	@echo "wrote BENCH_PR10.json"
 
@@ -108,7 +105,7 @@ bench-pr10:
 # rerun the schedule-graph benchmarks and compare against the checked-in
 # BENCH_PR10.json baseline (machine-speed normalised).
 bench-regress-pr10:
-	$(GO) test . -run '^$$' -bench 'Exact(Delay|SAG|Frontier|Memo)' -benchtime 300ms -benchmem > bench_pr10_current.out
+	$(GO) test . -run '^$$' -bench 'Exact(Delay|SAG|Memo)' -benchtime 300ms -benchmem > bench_pr10_current.out
 	$(GO) run ./cmd/benchjson -in bench_pr10_current.out -out bench_pr10_current.json
 	$(GO) run ./tools/benchregress -baseline BENCH_PR10.json -current bench_pr10_current.json -tolerance 0.30
 

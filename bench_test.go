@@ -344,15 +344,14 @@ func BenchmarkDelayAwareRTA(b *testing.B) {
 	}
 }
 
-// BenchmarkRTASolver measures the fixed-priority RTA under the monotone and
-// cutting-plane fixpoint solvers on a population of wide-period task sets
-// whose delay functions are piecewise curves at n pieces (indexed, so the
-// per-task core bound stays cheap and the fixpoint engine dominates). Both
-// solvers are warm-started from the no-delay response times, exactly like
-// the analysis pipelines; results are bit-identical, only the iteration
-// count differs. The rta-iters/op metric is the engine-evaluation count per
-// analysis pass (sched.rta.solver.iterations), and the solver=monotone vs
-// solver=cutting pair feeds the speedup table of BENCH_PR9.json.
+// BenchmarkRTASolver measures the fixed-priority RTA fixpoint (monotone
+// iteration, the only solver) on a population of wide-period task sets whose
+// delay functions are piecewise curves at n pieces (indexed, so the per-task
+// core bound stays cheap and the fixpoint engine dominates). The analyses
+// are warm-started from the no-delay response times, exactly like the
+// analysis pipelines. The rta-iters/op metric is the engine-evaluation count
+// per analysis pass (sched.rta.solver.iterations). The row names keep their
+// solver=monotone prefix so BENCH_PR9.json stays comparable.
 func BenchmarkRTASolver(b *testing.B) {
 	const sets = 10
 	type fixture struct {
@@ -398,7 +397,7 @@ func BenchmarkRTASolver(b *testing.B) {
 				}
 				fns[i] = delay.NewIndexed(p)
 			}
-			nd, err := sched.Analyze(nil, ts, sched.Options{Solver: sched.SolverMonotone})
+			nd, err := sched.Analyze(nil, ts, sched.Options{})
 			if err != nil {
 				continue
 			}
@@ -408,28 +407,23 @@ func BenchmarkRTASolver(b *testing.B) {
 	}
 	for _, n := range []int{64, 1024, 16384} {
 		fixtures := build(n)
-		for _, sv := range []struct {
-			name   string
-			solver sched.Solver
-		}{{"monotone", sched.SolverMonotone}, {"cutting", sched.SolverCutting}} {
-			b.Run(fmt.Sprintf("solver=%s/n=%d", sv.name, n), func(b *testing.B) {
-				reg := obs.NewRegistry()
-				sc := obs.NewScope(reg)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, fx := range fixtures {
-						_, err := sched.Analyze(nil, fx.ts, sched.Options{
-							Delay: fx.fns, Method: sched.Algorithm1,
-							Warm: fx.warm, Solver: sv.solver, Obs: sc,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
+		b.Run(fmt.Sprintf("solver=monotone/n=%d", n), func(b *testing.B) {
+			reg := obs.NewRegistry()
+			sc := obs.NewScope(reg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, fx := range fixtures {
+					_, err := sched.Analyze(nil, fx.ts, sched.Options{
+						Delay: fx.fns, Method: sched.Algorithm1,
+						Warm: fx.warm, Obs: sc,
+					})
+					if err != nil {
+						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(reg.Counter("sched.rta.solver.iterations").Value())/float64(b.N), "rta-iters/op")
-			})
-		}
+			}
+			b.ReportMetric(float64(reg.Counter("sched.rta.solver.iterations").Value())/float64(b.N), "rta-iters/op")
+		})
 	}
 }
 
@@ -1006,27 +1000,6 @@ func BenchmarkExactSAG(b *testing.B) {
 			}
 			b.ReportMetric(float64(states), "states/op")
 			b.ReportMetric(float64(merges), "merges/op")
-		})
-	}
-}
-
-// BenchmarkExactFrontier measures parallel frontier expansion of the
-// schedule graph at several worker counts on a wide instance — the naive
-// (unmerged) exploration, whose 100k-state frontiers are what give the
-// shards enough contiguous work to amortize the fan-out. Results are
-// bit-identical for every worker count (contiguous shards, concatenated in
-// shard order); only the wall clock moves, and only on multi-core hosts —
-// on a single-CPU machine the workers>1 variants measure the sharding
-// overhead itself. The workers=1 vs workers=8 pair feeds BENCH_PR10.json.
-func BenchmarkExactFrontier(b *testing.B) {
-	ts := exactBenchSet(5)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := exact.ResponseTimes(nil, ts, exact.Options{Naive: true, Workers: w, MaxStates: -1}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -4,9 +4,8 @@
 // bound values ride along) plus before/after tables pairing each baseline
 // variant with its optimised twin — kernel=scan vs kernel=indexed,
 // mode=unpooled vs mode=pooled, workers=1 vs workers=8, cache=cold vs
-// cache=warm, mode=full vs mode=incremental, solver=monotone vs
-// solver=cutting — as an ns/op speedup and, where -benchmem ran, an
-// allocs/op reduction factor.
+// cache=warm, mode=full vs mode=incremental, mode=naive vs mode=pruned — as
+// an ns/op speedup and, where -benchmem ran, an allocs/op reduction factor.
 //
 // Usage:
 //
@@ -73,7 +72,6 @@ var pairs = []struct{ base, opt string }{
 	{"workers=1", "workers=8"},
 	{"cache=cold", "cache=warm"},
 	{"mode=full", "mode=incremental"},
-	{"solver=monotone", "solver=cutting"},
 	{"mode=naive", "mode=pruned"},
 }
 

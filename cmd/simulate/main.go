@@ -288,9 +288,7 @@ func exactScenario(g *guard.Ctx, limits *cli.Limits) error {
 			inflated[i].BCET = ts[i].C
 			inflated[i].C = r.EffectiveC[i]
 		}
-		sr, err := exact.ResponseTimes(g, inflated, exact.Options{
-			MaxStates: limits.States, Workers: limits.Workers,
-		})
+		sr, err := exact.ResponseTimes(g, inflated, exact.Options{MaxStates: limits.States})
 		if err != nil {
 			return err
 		}

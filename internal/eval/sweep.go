@@ -321,11 +321,6 @@ type SweepOptions struct {
 	// SweepPoint.Cached. Build with core.NewResultCache.
 	Memo *memo.Cache
 
-	// Solver selects the fixpoint solver every grid point runs with
-	// (core.SolverAuto by default: cutting-plane acceleration with
-	// monotone fallback). Results are bit-identical across solvers.
-	Solver core.Solver
-
 	// NoIndex disables the per-spec query index (delay.AutoIndex), forcing
 	// every grid point onto the linear-scan kernel. The indexed and scan
 	// kernels are bit-for-bit equivalent (proven by the differential and
@@ -611,7 +606,7 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 						// Fresh Out every attempt: the stored slice is only
 						// ever read (as a later walk's In), never appended to.
 						hints = core.WalkHints{In: in}
-						return core.Analyze(g, spec.F, q, core.Options{Obs: sc, Memo: opts.Memo, Solver: opts.Solver, Hints: &hints})
+						return core.Analyze(g, spec.F, q, core.Options{Obs: sc, Memo: opts.Memo, Hints: &hints})
 					})
 				})
 				if err == nil {
@@ -648,7 +643,7 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 				// a recovery scope (a poisoned function can panic in
 				// Domain/MaxOn too).
 				fb, ferr := guard.Run(g, label+" (Eq.4 fallback)", func() (core.Result, error) {
-					return core.Analyze(g, spec.F, q, core.Options{Method: core.Equation4, Obs: sc, Memo: opts.Memo, Solver: opts.Solver})
+					return core.Analyze(g, spec.F, q, core.Options{Method: core.Equation4, Obs: sc, Memo: opts.Memo})
 				})
 				if ferr != nil {
 					if fatal(ferr) {

@@ -3,7 +3,6 @@ package exact
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
@@ -40,21 +39,12 @@ type dstate struct{ e, d float64 }
 // Explorer runs exact-delay explorations with reusable state slabs: the
 // frontier, successor and visited-frontier buffers survive across calls, so
 // steady-state explorations of same-sized instances allocate nothing (the
-// sim.Runner discipline). Not safe for concurrent use; Delay itself shards
-// work over Options.Workers goroutines internally.
+// sim.Runner discipline). Not safe for concurrent use.
 type Explorer struct {
 	cur, next []dstate
 	front     []dstate // visited pareto frontier: e ascending, d ascending
 	starts    []float64
 	lastF     *delay.Piecewise // breakpoints cache key for starts
-	shards    []shardResult
-}
-
-// shardResult is one worker's contribution to a layer expansion.
-type shardResult struct {
-	out      []dstate
-	best     float64
-	expanded int
 }
 
 // NewExplorer returns an Explorer with empty slabs; they grow to the
@@ -151,7 +141,7 @@ func (ex *Explorer) explore(g *guard.Ctx, f *delay.Piecewise, q, c float64, opts
 		if budget > 0 && res.States+len(ex.cur) > budget {
 			return DelayResult{}, &StateSpaceError{States: res.States + len(ex.cur), Limit: budget}
 		}
-		layerBest, expanded, err := ex.expandLayer(g, f, q, c, opts)
+		layerBest, expanded, err := ex.expandLayer(g, f, q, c)
 		if err != nil {
 			return DelayResult{}, err
 		}
@@ -163,9 +153,9 @@ func (ex *Explorer) explore(g *guard.Ctx, f *delay.Piecewise, q, c float64, opts
 			ex.cur, ex.next = ex.next, ex.cur
 			continue
 		}
-		// Canonicalise the merged successor layer: sort by (e asc, d desc)
-		// so one ascending sweep keeps exactly the pareto-undominated
-		// states, independent of the worker sharding that produced them.
+		// Sort the successor layer by (e asc, d desc) so one ascending
+		// sweep keeps exactly the pareto-undominated states: each state
+		// only has to be compared with the running maximum of d before it.
 		slices.SortFunc(ex.next, func(a, b dstate) int {
 			switch {
 			case a.e != b.e:
@@ -216,101 +206,38 @@ func (ex *Explorer) explore(g *guard.Ctx, f *delay.Piecewise, q, c float64, opts
 
 // expandLayer expands every state of ex.cur into ex.next (reset first) and
 // returns the best paid delay seen plus the number of states expanded.
-// With opts.Workers > 1 the frontier is split into contiguous shards, each
-// expanded into a worker-private buffer, and the buffers are concatenated
-// in shard order — the successor sequence is byte-identical to a serial
-// expansion.
-func (ex *Explorer) expandLayer(g *guard.Ctx, f *delay.Piecewise, q, c float64, opts Options) (best float64, expanded int, err error) {
+// Successors are emitted in (state, candidate) order.
+func (ex *Explorer) expandLayer(g *guard.Ctx, f *delay.Piecewise, q, c float64) (best float64, expanded int, err error) {
 	ex.next = ex.next[:0]
-	workers := opts.Workers
-	if workers > len(ex.cur) {
-		workers = len(ex.cur)
-	}
-	if workers <= 1 {
-		sh := shardResult{out: ex.next}
-		if err := expandShard(g, f, q, c, ex.cur, ex.starts, &sh); err != nil {
+	for _, s := range ex.cur {
+		if err := g.Tick(); err != nil {
 			return 0, 0, err
 		}
-		ex.next = sh.out
-		return sh.best, sh.expanded, nil
-	}
-	if cap(ex.shards) < workers {
-		ex.shards = append(ex.shards[:cap(ex.shards)], make([]shardResult, workers-cap(ex.shards))...)
-	}
-	shards := ex.shards[:workers]
-	var wg sync.WaitGroup
-	per := (len(ex.cur) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(ex.cur) {
-			hi = len(ex.cur)
+		expanded++
+		best = ex.emit(f, q, c, s, s.e, best)
+		for _, st := range ex.starts {
+			if st > s.e && st < c {
+				best = ex.emit(f, q, c, s, st, best)
+			}
 		}
-		sh := &shards[w]
-		sh.out = sh.out[:0]
-		sh.best, sh.expanded = 0, 0
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(block []dstate, sh *shardResult) {
-			defer wg.Done()
-			// Work on a stack-local copy: appending through the shared
-			// shard array would false-share slice headers between workers
-			// (every append rewrites a header on a cache line the
-			// neighbouring worker is also writing).
-			local := *sh
-			// Expansion errors are guard aborts; they re-surface from the
-			// post-join g.Err() check, so the shard just stops early.
-			_ = expandShard(g, f, q, c, block, ex.starts, &local)
-			*sh = local
-		}(ex.cur[lo:hi], sh)
-	}
-	wg.Wait()
-	if err := g.Err(); err != nil {
-		return 0, 0, err
-	}
-	for w := range shards {
-		ex.next = append(ex.next, shards[w].out...)
-		if shards[w].best > best {
-			best = shards[w].best
-		}
-		expanded += shards[w].expanded
 	}
 	return best, expanded, nil
 }
 
-// expandShard expands one contiguous frontier block. Successors are emitted
-// in (state, candidate) order, so concatenating shard outputs in shard
-// order reproduces the serial successor sequence exactly.
-func expandShard(g *guard.Ctx, f *delay.Piecewise, q, c float64, block []dstate, starts []float64, sh *shardResult) error {
-	for _, s := range block {
-		if err := g.Tick(); err != nil {
-			return err
-		}
-		sh.expanded++
-		emit(f, q, c, s, s.e, sh)
-		for _, st := range starts {
-			if st > s.e && st < c {
-				emit(f, q, c, s, st, sh)
-			}
-		}
-	}
-	return nil
-}
-
 // emit charges a strike at progression prog from state s and appends the
-// successor, unless the job completes before the strike.
-func emit(f *delay.Piecewise, q, c float64, s dstate, prog float64, sh *shardResult) {
+// successor to ex.next, unless the job completes before the strike. It
+// returns best raised to the successor's paid delay.
+func (ex *Explorer) emit(f *delay.Piecewise, q, c float64, s dstate, prog, best float64) float64 {
 	if prog >= c-completionTol(c, prog+s.d) {
-		return // job finishes before this strike lands
+		return best // job finishes before this strike lands
 	}
 	d := f.Eval(prog)
 	paid := s.d + d
-	if paid > sh.best {
-		sh.best = paid
+	ex.next = append(ex.next, dstate{e: prog + q - d, d: paid})
+	if paid > best {
+		best = paid
 	}
-	sh.out = append(sh.out, dstate{e: prog + q - d, d: paid})
+	return best
 }
 
 // frontDominates reports whether a visited state with e' <= s.e carries

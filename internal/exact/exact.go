@@ -26,9 +26,7 @@
 // failure (StateSpaceError, an ErrBudgetExceeded), reuse buffers across
 // runs through an Explorer (zero steady-state allocations), memoize whole
 // results content-addressed in an internal/memo cache (verify-on-use
-// canonical fingerprints), and expand frontiers in parallel over
-// deterministic contiguous shards so results are bit-identical for every
-// Workers value.
+// canonical fingerprints), and expand each frontier layer serially.
 //
 // Metrics (catalogued in DESIGN.md §16): counters exact.runs, exact.states,
 // exact.merges, exact.prunes, exact.memo.hits, exact.memo.stores,
@@ -57,12 +55,6 @@ type Options struct {
 	// with a *StateSpaceError beyond it. Zero selects DefaultMaxStates;
 	// negative means unbounded.
 	MaxStates int
-
-	// Workers shards frontier expansion over this many goroutines;
-	// <= 1 runs serially. Shards are contiguous frontier blocks and the
-	// merged successor layer is canonically re-sorted, so results are
-	// bit-identical for every value.
-	Workers int
 
 	// Naive disables state merging, dominance pruning and the visited
 	// frontier — the brute-force enumeration the benchmarks compare
@@ -143,9 +135,9 @@ func appendBits(b []byte, v uint64) []byte {
 }
 
 // delayMemoKey builds the content address of a Delay result: the canonical
-// curve fingerprint, the Q bits and an engine tag. Options that only trade
-// wall-clock for cores (Workers) or change nothing but the search order
-// (Naive — results are identical when it completes) are excluded.
+// curve fingerprint, the Q bits and an engine tag. Naive is excluded: it
+// changes nothing but the search effort, and results are identical when it
+// completes.
 func delayMemoKey(f delay.Function, q float64) (key uint64, verify string, ok bool) {
 	fp, err := delay.FingerprintOf(f)
 	if err != nil {

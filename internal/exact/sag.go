@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"math"
 	"slices"
-	"sync"
 
 	"fnpr/internal/guard"
 	"fnpr/internal/task"
@@ -55,14 +54,6 @@ type sagState struct {
 	lo, hi float64
 }
 
-// sagShard is one worker's contribution to a layer expansion.
-type sagShard struct {
-	out        []sagState
-	slab       []uint64
-	wcrt, bcrt []float64
-	expanded   int
-}
-
 // sagExplorer holds the reusable slabs of one exploration.
 type sagExplorer struct {
 	jobs       []sagJob
@@ -70,7 +61,6 @@ type sagExplorer struct {
 	cur, next  []sagState
 	curSlab    []uint64
 	nextSlab   []uint64
-	shards     []sagShard
 	wcrt, bcrt []float64
 }
 
@@ -238,7 +228,7 @@ func (ex *sagExplorer) explore(g *guard.Ctx, opts Options) (*SAGResult, error) {
 		if budget > 0 && res.States+len(ex.cur) > budget {
 			return nil, &StateSpaceError{States: res.States + len(ex.cur), Limit: budget}
 		}
-		expanded, err := ex.expandLayer(g, opts)
+		expanded, err := ex.expandLayer(g)
 		if err != nil {
 			return nil, err
 		}
@@ -255,78 +245,9 @@ func (ex *sagExplorer) explore(g *guard.Ctx, opts Options) (*SAGResult, error) {
 	return res, nil
 }
 
-// expandLayer expands ex.cur into ex.next/ex.nextSlab. Workers each own a
-// private buffer over a contiguous frontier block; concatenating in block
-// order reproduces the serial successor sequence, and per-task response
-// extrema merge commutatively.
-func (ex *sagExplorer) expandLayer(g *guard.Ctx, opts Options) (int, error) {
-	ex.next = ex.next[:0]
-	ex.nextSlab = ex.nextSlab[:0]
-	workers := opts.Workers
-	if workers > len(ex.cur) {
-		workers = len(ex.cur)
-	}
-	if workers <= 1 {
-		sh := sagShard{out: ex.next, slab: ex.nextSlab, wcrt: ex.wcrt, bcrt: ex.bcrt}
-		if err := ex.expandShard(g, ex.cur, &sh); err != nil {
-			return 0, err
-		}
-		ex.next, ex.nextSlab = sh.out, sh.slab
-		return sh.expanded, nil
-	}
-	if cap(ex.shards) < workers {
-		ex.shards = append(ex.shards[:cap(ex.shards)], make([]sagShard, workers-cap(ex.shards))...)
-	}
-	shards := ex.shards[:workers]
-	var wg sync.WaitGroup
-	per := (len(ex.cur) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > len(ex.cur) {
-			hi = len(ex.cur)
-		}
-		sh := &shards[w]
-		sh.out, sh.slab = sh.out[:0], sh.slab[:0]
-		sh.expanded = 0
-		sh.wcrt = resize(sh.wcrt, len(ex.wcrt), math.Inf(-1))
-		sh.bcrt = resize(sh.bcrt, len(ex.bcrt), math.Inf(1))
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(block []sagState, sh *sagShard) {
-			defer wg.Done()
-			// Work on a stack-local copy: appending through the shared
-			// shard array would false-share slice headers between workers.
-			local := *sh
-			// Guard aborts re-surface from the post-join Err check.
-			_ = ex.expandShard(g, block, &local)
-			*sh = local
-		}(ex.cur[lo:hi], sh)
-	}
-	wg.Wait()
-	if err := g.Err(); err != nil {
-		return 0, err
-	}
-	expanded := 0
-	for w := range shards {
-		sh := &shards[w]
-		base := len(ex.nextSlab)
-		ex.nextSlab = append(ex.nextSlab, sh.slab...)
-		for _, s := range sh.out {
-			s.off += base
-			ex.next = append(ex.next, s)
-		}
-		for i := range ex.wcrt {
-			ex.wcrt[i] = math.Max(ex.wcrt[i], sh.wcrt[i])
-			ex.bcrt[i] = math.Min(ex.bcrt[i], sh.bcrt[i])
-		}
-		expanded += sh.expanded
-	}
-	return expanded, nil
-}
-
-// expandShard applies every eligible dispatch of every state in block.
+// expandLayer expands ex.cur into ex.next/ex.nextSlab (both reset first),
+// applying every eligible dispatch of every state, and returns the number of
+// states expanded.
 //
 // Eligibility follows the schedule-abstraction-graph construction: from a
 // state with availability [lo, hi], job j (whose same-task predecessor is
@@ -337,12 +258,15 @@ func (ex *sagExplorer) expandLayer(g *guard.Ctx, opts Options) (int, error) {
 // (t_high, the min rmax over pending higher-priority jobs). j is eligible
 // iff EST <= min(t_wc, t_high) with the t_high bound strict, and then
 // starts anywhere in [EST, LST], finishing in [EST+emin, LST+emax].
-func (ex *sagExplorer) expandShard(g *guard.Ctx, block []sagState, sh *sagShard) error {
-	for _, s := range block {
+func (ex *sagExplorer) expandLayer(g *guard.Ctx) (int, error) {
+	ex.next = ex.next[:0]
+	ex.nextSlab = ex.nextSlab[:0]
+	expanded := 0
+	for _, s := range ex.cur {
 		if err := g.Tick(); err != nil {
-			return err
+			return 0, err
 		}
-		sh.expanded++
+		expanded++
 		mask := ex.curSlab[s.off : s.off+ex.words]
 
 		// min rmax over all pending jobs. Same-task successors never beat
@@ -378,7 +302,7 @@ func (ex *sagExplorer) expandShard(g *guard.Ctx, block []sagState, sh *sagShard)
 				est := math.Max(s.lo, job.rmin)
 				lst := math.Min(twc, thigh)
 				if est <= lst && est < thigh {
-					ex.dispatch(sh, mask, j, est, lst)
+					ex.dispatch(mask, j, est, lst)
 				}
 			}
 			if job.rmax < thigh {
@@ -386,21 +310,21 @@ func (ex *sagExplorer) expandShard(g *guard.Ctx, block []sagState, sh *sagShard)
 			}
 		}
 	}
-	return nil
+	return expanded, nil
 }
 
 // dispatch emits the successor of starting job j in [est, lst].
-func (ex *sagExplorer) dispatch(sh *sagShard, mask []uint64, j int, est, lst float64) {
+func (ex *sagExplorer) dispatch(mask []uint64, j int, est, lst float64) {
 	job := ex.jobs[j]
-	off := len(sh.slab)
-	sh.slab = append(sh.slab, mask...)
-	sh.slab[off+(j>>6)] |= 1 << (uint(j) & 63)
-	sh.out = append(sh.out, sagState{off: off, lo: est + job.emin, hi: lst + job.emax})
-	if w := lst + job.emax - job.rmin; w > sh.wcrt[job.task] {
-		sh.wcrt[job.task] = w
+	off := len(ex.nextSlab)
+	ex.nextSlab = append(ex.nextSlab, mask...)
+	ex.nextSlab[off+(j>>6)] |= 1 << (uint(j) & 63)
+	ex.next = append(ex.next, sagState{off: off, lo: est + job.emin, hi: lst + job.emax})
+	if w := lst + job.emax - job.rmin; w > ex.wcrt[job.task] {
+		ex.wcrt[job.task] = w
 	}
-	if b := math.Max(job.emin, est+job.emin-job.rmax); b < sh.bcrt[job.task] {
-		sh.bcrt[job.task] = b
+	if b := math.Max(job.emin, est+job.emin-job.rmax); b < ex.bcrt[job.task] {
+		ex.bcrt[job.task] = b
 	}
 }
 

@@ -65,10 +65,17 @@ func TestSAGJitterIntervals(t *testing.T) {
 
 // TestSAGNaiveMatchesMerged asserts the interval-merged exploration returns
 // the same response times as the brute-force enumeration, bit-identically,
-// while expanding no more states.
+// while expanding no more states. The last set carries release jitter, so
+// interval states (lo < hi) are merged too.
 func TestSAGNaiveMatchesMerged(t *testing.T) {
+	sets := make([]task.Set, 0, 31)
 	for trial := 0; trial < 30; trial++ {
-		ts := randomNPSet(t, 21, trial)
+		sets = append(sets, randomNPSet(t, 21, trial))
+	}
+	jittered := randomNPSet(t, 33, 4)
+	jittered[0].Jitter = 0.5
+	sets = append(sets, jittered)
+	for trial, ts := range sets {
 		merged, err := ResponseTimes(nil, ts, Options{})
 		if err != nil {
 			t.Fatalf("trial %d merged: %v", trial, err)
@@ -85,33 +92,6 @@ func TestSAGNaiveMatchesMerged(t *testing.T) {
 		}
 		if merged.States > naive.States {
 			t.Fatalf("trial %d: merged expanded more states (%d) than naive (%d)", trial, merged.States, naive.States)
-		}
-	}
-}
-
-// TestSAGParallelDeterminism asserts bit-identical results for every worker
-// count.
-func TestSAGParallelDeterminism(t *testing.T) {
-	ts := randomNPSet(t, 33, 4)
-	ts[0].Jitter = 0.5
-	serial, err := ResponseTimes(nil, ts, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for workers := 2; workers <= 8; workers++ {
-		par, err := ResponseTimes(nil, ts, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if par.States != serial.States || par.Merges != serial.Merges ||
-			par.Prunes != serial.Prunes || par.PeakFrontier != serial.PeakFrontier {
-			t.Fatalf("workers=%d: counters diverged: %+v vs %+v", workers, par, serial)
-		}
-		for i := range serial.WCRT {
-			if par.WCRT[i] != serial.WCRT[i] || par.BCRT[i] != serial.BCRT[i] {
-				t.Fatalf("workers=%d task %d: (%g,%g) != (%g,%g)",
-					workers, i, par.WCRT[i], par.BCRT[i], serial.WCRT[i], serial.BCRT[i])
-			}
 		}
 	}
 }

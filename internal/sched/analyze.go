@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"fnpr/internal/core"
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
 	"fnpr/internal/memo"
@@ -34,17 +33,6 @@ func (p Policy) String() string {
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
 }
-
-// Solver re-exports the fixpoint solver selection shared with package core,
-// so sched callers need not import core just to pick one.
-type Solver = core.Solver
-
-// Solver values, aliased from core.
-const (
-	SolverAuto     = core.SolverAuto
-	SolverMonotone = core.SolverMonotone
-	SolverCutting  = core.SolverCutting
-)
 
 // Options configures Analyze.
 type Options struct {
@@ -81,12 +69,6 @@ type Options struct {
 	// count within the response time, iterated to a decreasing fixpoint.
 	// Requires FP policy, Algorithm1 method and a Delay slice.
 	Limited bool
-
-	// Solver selects the fixpoint strategy: SolverAuto (default) and
-	// SolverCutting accelerate fixpoints with cutting-plane jumps and the
-	// EDF demand test with the QPA-style walk, SolverMonotone forces the
-	// classic one-step iterations. Results are bit-identical either way.
-	Solver Solver
 
 	// Warm optionally seeds the FP fixpoint with previously computed
 	// response times (jitter-inclusive scale). Callers must guarantee
@@ -179,7 +161,7 @@ func Analyze(g *guard.Ctx, ts task.Set, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rts, err := responseTimes(g, sc, ts, gamma, nil, opts.Warm, opts.Solver)
+		rts, err := responseTimes(g, sc, ts, gamma, nil, opts.Warm)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +182,7 @@ func Analyze(g *guard.Ctx, ts task.Set, opts Options) (*Result, error) {
 	}
 
 	if opts.Delay == nil {
-		rts, err := responseTimes(g, sc, ts, nil, nil, opts.Warm, opts.Solver)
+		rts, err := responseTimes(g, sc, ts, nil, nil, opts.Warm)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fnpr/internal/core"
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
 	"fnpr/internal/task"
@@ -21,7 +20,7 @@ func ResponseTimesCtx(g *guard.Ctx, ts task.Set) ([]float64, error) {
 	if err := validateForRTA(ts); err != nil {
 		return nil, err
 	}
-	return responseTimes(g, g.Obs(), ts, nil, nil, nil, core.SolverMonotone)
+	return responseTimes(g, g.Obs(), ts, nil, nil, nil)
 }
 
 func ResponseTimesCRPD(ts task.Set, m CRPDMethod, p CRPDParams) ([]float64, error) {
@@ -36,7 +35,7 @@ func ResponseTimesCRPDCtx(g *guard.Ctx, ts task.Set, m CRPDMethod, p CRPDParams)
 	if err != nil {
 		return nil, err
 	}
-	return responseTimes(g, g.Obs(), ts, gamma, nil, nil, core.SolverMonotone)
+	return responseTimes(g, g.Obs(), ts, gamma, nil, nil)
 }
 
 func validateForRTA(ts task.Set) error {
@@ -63,7 +62,6 @@ func (a FNPRAnalysis) options() Options {
 		Method: a.Method,
 		Delay:  a.Delay,
 		Warm:   a.Warm,
-		Solver: core.SolverMonotone,
 	}
 }
 

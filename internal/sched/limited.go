@@ -46,7 +46,6 @@ func limitedAnalysis(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) (*L
 		return core.Analyze(g, opts.Delay[i], ts[i].Q, core.Options{
 			Limited:        lim >= 0,
 			MaxPreemptions: lim,
-			Solver:         opts.Solver,
 			Obs:            sc,
 			Memo:           opts.Memo,
 		})

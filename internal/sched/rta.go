@@ -8,9 +8,9 @@
 //
 // Analyze is the package's single entry point; Options selects the policy
 // (fixed-priority or EDF), the delay method, CRPD inflation, the
-// preemption-count refinement, the fixpoint solver and warm seeding. The
-// ResponseTimes*/FNPRAnalysis.* families are deprecated wrappers kept for
-// one PR (see deprecated.go).
+// preemption-count refinement and warm seeding. Each fixpoint has one
+// algorithm: monotone iteration for fixed-priority response times and the
+// QPA-style deadline walk for the EDF demand test (edf.go).
 package sched
 
 import (
@@ -137,13 +137,7 @@ func (m DelayMethod) String() string {
 // to a cold start; only the iteration count shrinks. Callers must guarantee
 // warm[i] <= task i's true response time; entries that are non-finite or
 // below the cold-start value are ignored (cold start is always sound).
-//
-// solver selects the fixpoint strategy: core.SolverMonotone iterates the
-// recurrence one step at a time (exactly the pre-solver behaviour), the
-// cutting solvers additionally jump to the shaved root of the linearized
-// recurrence between monotone steps — same fixpoints, far fewer iterations.
-// See solver.go for the cut construction and the fallback rules.
-func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int) float64, blocking func(i int) float64, warm []float64, solver core.Solver) ([]float64, error) {
+func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int) float64, blocking func(i int) float64, warm []float64) ([]float64, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,8 +150,6 @@ func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int
 	iters := sc.Counter("sched.rta.iterations")
 	solverIters := sc.Counter("sched.rta.solver.iterations")
 	seeded := sc.Counter("sched.rta.warm.seeded")
-	cuts := sc.Counter("sched.rta.solver.cuts")
-	falls := sc.Counter("sched.rta.solver.fallbacks")
 	out := make([]float64, len(ts))
 	for i, tk := range ts {
 		b := 0.0
@@ -174,21 +166,6 @@ func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int
 			}
 		}
 		deadline := tk.Deadline()
-		// Cutting-plane state: lastSound is the most recent iterate
-		// produced by plain monotone steps (always a certified lower bound
-		// on the least fixpoint); iterates past a jump are speculative
-		// until the chain re-converges, and any doubt signal reverts to
-		// lastSound with jumps disabled — a warm-started monotone run.
-		lastSound := r
-		speculative, jumpedLast := false, false
-		// jumps gates cutting-plane acceleration; refute gates the
-		// no-fixpoint-below-deadline certificate. A deadline fallback
-		// disables jumps but keeps refuting (the certificate anchors only
-		// at certified monotone iterates, so it stays sound and can end
-		// the re-climb early); an overshoot fallback disables both, since
-		// it casts doubt on the relaxation itself.
-		jumps := solver != core.SolverMonotone && i > 0
-		refute := jumps
 		ok := false
 		for iter := 0; iter < maxRTAIterations; iter++ {
 			if err := g.Tick(); err != nil {
@@ -204,63 +181,13 @@ func responseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, gamma func(i, j int
 				}
 				next += math.Ceil((r+ts[j].Jitter)/ts[j].T) * (ts[j].C + gm)
 			}
-			if next == r && (!speculative || !jumpedLast) {
+			if next == r {
 				ok = true
 				break
 			}
-			if next <= r && speculative {
-				// A non-increasing iterate on a speculative chain means the
-				// jump overshot or landed on a fixpoint it cannot certify
-				// as least. Revert and iterate plainly. (Outside
-				// speculation a decreasing iterate only arises from a
-				// contract-violating warm seed; the chain then follows the
-				// legacy decreasing path below.)
-				falls.Inc()
-				r = lastSound
-				speculative, jumpedLast = false, false
-				jumps, refute = false, false
-				continue
-			}
-			jumpedLast = false
 			r = next
-			if !speculative {
-				lastSound = r
-			}
 			if r+tk.Jitter > deadline {
-				if !speculative {
-					break
-				}
-				// The deadline verdict must come from a certified chain:
-				// re-derive it monotonically from the last sound iterate.
-				falls.Inc()
-				r = lastSound
-				speculative, jumps = false, false
-				continue
-			}
-			if jumps || (refute && !speculative) {
-				root, found, unsat := cutRoot(ts, gamma, i, base, r, deadline-tk.Jitter)
-				if unsat && !speculative {
-					// The relaxation stays above the diagonal all the way to
-					// the deadline: no fixpoint exists at or below it, so the
-					// monotone climb could only end past the deadline. Same
-					// +Inf verdict, without the climb. (Speculative chains
-					// may not conclude verdicts; they never reach here with
-					// unsat anyway, as speculation starts only after a root
-					// was found.)
-					cuts.Inc()
-					break
-				}
-				if jumps && found {
-					cut := root - math.Max(cutRelShave*math.Abs(root), cutAbsShave)
-					if cap := deadline - tk.Jitter; cut > cap {
-						cut = cap
-					}
-					if cut > r {
-						r = cut
-						speculative, jumpedLast = true, true
-						cuts.Inc()
-					}
-				}
+				break
 			}
 		}
 		if !ok || r+tk.Jitter > deadline {
@@ -342,7 +269,7 @@ func effectiveWCETs(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) ([]f
 		if tk.Q <= 0 {
 			return nil, nil, guard.Invalidf("sched: task %s has no NPR length Q", tk.Name)
 		}
-		copts := core.Options{Solver: opts.Solver, Obs: sc, Memo: opts.Memo}
+		copts := core.Options{Obs: sc, Memo: opts.Memo}
 		switch opts.Method {
 		case Algorithm1:
 		case Equation4:
@@ -448,5 +375,5 @@ func fpResponseTimes(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options, cp 
 			return rts, nil
 		}
 	}
-	return responseTimes(g, sc, inflated, nil, fpBlocking(inflated, cp), opts.Warm, opts.Solver)
+	return responseTimes(g, sc, inflated, nil, fpBlocking(inflated, cp), opts.Warm)
 }

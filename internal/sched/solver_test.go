@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,13 +10,14 @@ import (
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
 	"fnpr/internal/memo"
+	"fnpr/internal/npr"
 	"fnpr/internal/obs"
 	"fnpr/internal/synth"
 	"fnpr/internal/task"
 )
 
 // solverFixture draws one differential trial: a random task set (optionally
-// with release jitter and constrained deadlines, so the cut construction and
+// with release jitter and constrained deadlines, so the jittered RTA and
 // the QPA phase-1 walk are both exercised) plus a mix of delay functions —
 // nil (no delay), benign front-loaded curves, aggressive ones that push the
 // set over its deadlines, and divergent ones whose peak reaches the NPR
@@ -94,72 +94,107 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
-// checkSolverPair runs Analyze under the monotone and cutting solvers and
-// fails the test unless the outcomes are indistinguishable: identical errors
-// (by guard class) or bit-identical results.
-func checkSolverPair(t *testing.T, label string, ts task.Set, opts Options) {
+// checkEDFWalks rebuilds the inflated set the EDF demand test sees for
+// fixture (ts, fns) and fails the test unless the QPA walk and the plain
+// enumeration return the same verdict, and that verdict is the one Analyze
+// reports.
+func checkEDFWalks(t *testing.T, ts task.Set, fns []delay.Function) {
 	t.Helper()
-	mono := opts
-	mono.Solver = SolverMonotone
-	cut := opts
-	cut.Solver = SolverCutting
-	mr, merr := Analyze(nil, ts, mono)
-	cr, cerr := Analyze(nil, ts, cut)
-	if (merr == nil) != (cerr == nil) {
-		t.Fatalf("%s: monotone err=%v, cutting err=%v", label, merr, cerr)
-	}
-	if merr != nil {
-		if errors.Is(merr, guard.ErrDiverged) != errors.Is(cerr, guard.ErrDiverged) {
-			t.Fatalf("%s: error class mismatch: monotone %v, cutting %v", label, merr, cerr)
-		}
+	res, err := Analyze(nil, ts, Options{Policy: EDF, Delay: fns, Method: Algorithm1})
+	if err != nil {
 		return
 	}
-	if mr.Schedulable != cr.Schedulable {
-		t.Fatalf("%s: verdict mismatch: monotone %v, cutting %v", label, mr.Schedulable, cr.Schedulable)
+	cp := res.EffectiveC
+	inflated := ts.Clone()
+	for i := range inflated {
+		if math.IsInf(cp[i], 1) {
+			return // divergent: decided before the demand test runs
+		}
+		inflated[i].C = cp[i]
 	}
-	if !sameFloats(mr.Response, cr.Response) {
-		t.Fatalf("%s: response times differ:\nmonotone %v\ncutting  %v", label, mr.Response, cr.Response)
+	if inflated.Utilization() > 1 {
+		return
 	}
-	if !sameFloats(mr.EffectiveC, cr.EffectiveC) {
-		t.Fatalf("%s: effective WCETs differ:\nmonotone %v\ncutting  %v", label, mr.EffectiveC, cr.EffectiveC)
+	horizon, err := npr.AnalysisHorizon(inflated)
+	if err != nil {
+		return
 	}
-	if len(mr.PreemptionLimit) != len(cr.PreemptionLimit) {
-		t.Fatalf("%s: preemption limits differ in length", label)
+	pts, ok := edfDeadlines(inflated, horizon)
+	if !ok {
+		t.Fatalf("fixture exceeds edfMaxPoints: %v", ts)
 	}
-	for i := range mr.PreemptionLimit {
-		if mr.PreemptionLimit[i] != cr.PreemptionLimit[i] {
-			t.Fatalf("%s: preemption limit %d differs: monotone %d, cutting %d",
-				label, i, mr.PreemptionLimit[i], cr.PreemptionLimit[i])
+	// A nil guard never aborts, so neither walk can return an error.
+	qpa, err := edfDemandQPA(nil, nil, inflated, cp, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enum, err := edfDemandEnum(nil, nil, inflated, cp, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qpa != enum {
+		t.Fatalf("edf: QPA verdict %v, enumeration %v (set %v, C' %v)", qpa, enum, ts, cp)
+	}
+	if qpa != res.Schedulable {
+		t.Fatalf("edf: Analyze verdict %v, walks %v", res.Schedulable, qpa)
+	}
+}
+
+// eq4Monotone is the reference Equation 4 loop: plain monotone iteration
+// cur' = c + ceil(cur/q)·m from cur = c, without the relaxation-root jump
+// core takes. It returns the cumulative delay, +Inf when m >= q.
+func eq4Monotone(c, q, m float64) float64 {
+	if m == 0 {
+		return 0
+	}
+	if m >= q {
+		return math.Inf(1)
+	}
+	cur := c
+	for {
+		next := c + math.Ceil(cur/q)*m
+		if next <= cur {
+			return cur - c
+		}
+		cur = next
+	}
+}
+
+// checkEq4Jump fails the test unless core's Equation 4 bound (one
+// relaxation-root jump, then monotone settling) equals the monotone
+// reference bit for bit, for every delay function of the fixture at the
+// task's Q and at a Q with relaxation slope 0.8.
+func checkEq4Jump(t *testing.T, ts task.Set, fns []delay.Function) {
+	t.Helper()
+	for i, f := range fns {
+		if f == nil {
+			continue
+		}
+		c := f.Domain()
+		_, m := f.MaxOn(0, c)
+		for _, q := range []float64{ts[i].Q, 1.25 * m} {
+			got, err := core.Analyze(nil, f, q, core.Options{Method: core.Equation4})
+			if err != nil {
+				t.Fatalf("eq4 task %d Q=%g: %v", i, q, err)
+			}
+			if want := eq4Monotone(c, q, m); got.TotalDelay != want {
+				t.Fatalf("eq4 task %d (C=%g Q=%g max=%g): jump %v, monotone %v", i, c, q, m, got.TotalDelay, want)
+			}
 		}
 	}
 }
 
-// solverTrial runs the full differential battery on one fixture: plain and
-// delay-aware FP (cold and warm, both methods), the limited refinement and
-// the EDF demand test.
-func solverTrial(t *testing.T, ts task.Set, fns []delay.Function, trial int) {
+// solverTrial runs both differentials on one fixture.
+func solverTrial(t *testing.T, ts task.Set, fns []delay.Function) {
 	t.Helper()
-	checkSolverPair(t, "plain", ts, Options{})
-	// Warm seeds come from the no-delay envelope, the contract every caller
-	// of Options.Warm follows.
-	var seed []float64
-	if nd, err := Analyze(nil, ts, Options{Solver: SolverMonotone}); err == nil {
-		seed = nd.Response
-	}
-	for _, m := range []DelayMethod{Algorithm1, Equation4} {
-		checkSolverPair(t, m.String()+" cold", ts, Options{Delay: fns, Method: m})
-		checkSolverPair(t, m.String()+" warm", ts, Options{Delay: fns, Method: m, Warm: seed})
-	}
-	if trial%5 == 0 {
-		checkSolverPair(t, "limited", ts, Options{Delay: fns, Method: Algorithm1, Limited: true, Warm: seed})
-	}
-	checkSolverPair(t, "edf", ts, Options{Policy: EDF, Delay: fns, Method: Algorithm1})
+	checkEDFWalks(t, ts, fns)
+	checkEq4Jump(t, ts, fns)
 }
 
-// TestSolverDifferential is the tentpole guarantee: across 10k random task
-// sets — schedulable, unschedulable and divergent alike — the cutting-plane
-// solvers return bit-identical response times, effective WCETs, preemption
-// limits and verdicts to the monotone baselines, for every analysis variant.
+// TestSolverDifferential pins the two fixpoints that keep a second path:
+// across 10k random task sets — schedulable, unschedulable and divergent
+// alike — the EDF QPA walk returns the enumeration's verdict and the
+// Equation 4 jump returns the monotone loop's value, bit for bit.
 func TestSolverDifferential(t *testing.T) {
 	trials := 10_000
 	if testing.Short() {
@@ -171,12 +206,12 @@ func TestSolverDifferential(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		solverTrial(t, ts, fns, trial)
+		solverTrial(t, ts, fns)
 	}
 }
 
-// FuzzSolverEquivalence fuzzes the same differential: any seed whose fixture
-// analyses must agree across solvers bit for bit.
+// FuzzSolverEquivalence fuzzes the same differential: for any seed whose
+// fixture builds, both pairs of paths must agree bit for bit.
 func FuzzSolverEquivalence(f *testing.F) {
 	for _, seed := range []int64{1, 42, 1811, 99991, -7} {
 		f.Add(seed)
@@ -187,105 +222,12 @@ func FuzzSolverEquivalence(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		solverTrial(t, ts, fns, int(seed))
+		solverTrial(t, ts, fns)
 	})
 }
 
-// solverIterations runs fn under a fresh registry and returns the engine
-// evaluations it charged (sched.rta.solver.iterations counts both FP fixpoint
-// steps and EDF demand points, under every solver).
-func solverIterations(t *testing.T, fn func(g *guard.Ctx)) int64 {
-	t.Helper()
-	reg := obs.NewRegistry()
-	g := guard.New(context.Background()).WithObs(obs.NewScope(reg))
-	fn(g)
-	return reg.Counter("sched.rta.solver.iterations").Value()
-}
-
-// solverLoadParams describes one population of the iteration-reduction
-// workload: wide log-uniform period ranges give the low-priority tasks long
-// monotone climbs (one release boundary per step), which is where the
-// cutting jumps and the no-fixpoint refutation pay off. The same classes
-// drive BenchmarkRTASolver, so BENCH_PR9.json records the claim this test
-// pins.
-var solverLoadParams = []synth.TaskSetParams{
-	{N: 10, Utilization: 0.55, PeriodLo: 10, PeriodHi: 10_000, RoundPeriod: true, QFraction: 0.9, MinQ: 0.1},
-	{N: 12, Utilization: 0.55, PeriodLo: 10, PeriodHi: 50_000, RoundPeriod: true, QFraction: 0.9, MinQ: 0.1},
-}
-
-// solverLoadFixture draws one workload fixture of the given class with
-// front-loaded delay functions at 80% of each task's NPR length.
-func solverLoadFixture(r *rand.Rand, p synth.TaskSetParams) (task.Set, []delay.Function, error) {
-	p.Utilization += 0.15 * r.Float64()
-	ts, err := synth.TaskSet(r, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	fns := make([]delay.Function, len(ts))
-	for i := 1; i < len(ts); i++ {
-		peak := math.Min(0.8*ts[i].Q, 0.9*ts[i].C)
-		if peak <= 0 {
-			continue
-		}
-		fn, err := delay.NewFrontLoaded(peak, peak/5, ts[i].C)
-		if err != nil {
-			return nil, nil, err
-		}
-		fns[i] = fn
-	}
-	return ts, fns, nil
-}
-
-// TestSolverIterationReduction pins the acceleration claim the benchmarks
-// report: against the warm-started monotone baseline, the cutting solver
-// needs at least 25% fewer engine iterations in aggregate over the
-// solverLoadParams populations (the workload BENCH_PR9.json records).
-func TestSolverIterationReduction(t *testing.T) {
-	var monoTotal, cutTotal int64
-	trials := 0
-	for ci, class := range solverLoadParams {
-		for trial := 0; trial < 120; trial++ {
-			r := synth.SubRand(7321, ci, trial)
-			ts, fns, err := solverLoadFixture(r, class)
-			if err != nil {
-				continue
-			}
-			nd, err := Analyze(nil, ts, Options{Solver: SolverMonotone})
-			if err != nil {
-				continue
-			}
-			trials++
-			opts := Options{Delay: fns, Method: Algorithm1, Warm: nd.Response}
-			monoTotal += solverIterations(t, func(g *guard.Ctx) {
-				opts := opts
-				opts.Solver = SolverMonotone
-				if _, err := Analyze(g, ts, opts); err != nil && !errors.Is(err, guard.ErrDiverged) {
-					t.Fatal(err)
-				}
-			})
-			cutTotal += solverIterations(t, func(g *guard.Ctx) {
-				opts := opts
-				opts.Solver = SolverCutting
-				if _, err := Analyze(g, ts, opts); err != nil && !errors.Is(err, guard.ErrDiverged) {
-					t.Fatal(err)
-				}
-			})
-		}
-	}
-	if trials < 150 {
-		t.Fatalf("only %d usable fixtures", trials)
-	}
-	if cutTotal > monoTotal*3/4 {
-		t.Fatalf("cutting solver spent %d iterations vs %d warm-monotone (want >= 25%% reduction)",
-			cutTotal, monoTotal)
-	}
-	t.Logf("iterations: warm monotone %d, cutting %d (%.1f%% reduction)",
-		monoTotal, cutTotal, 100*(1-float64(cutTotal)/float64(monoTotal)))
-}
-
 // TestAnalyzeMatchesDeprecated: the consolidated entry point must reproduce
-// every deprecated wrapper bit for bit (the wrappers pin the monotone solver;
-// Analyze defaults to cutting — agreement here is the migration guarantee).
+// every test-local wrapper of compat_test.go bit for bit.
 func TestAnalyzeMatchesDeprecated(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		r := synth.SubRand(4177, 2, trial)

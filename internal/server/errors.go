@@ -25,9 +25,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // body {"error": ..., "code": ...} whose code is the same machine-readable
 // failure vocabulary the sweep journal uses (eval.ReasonOf), and — on 429 —
 // a Retry-After header, because an admission rejection means "nothing was
-// started, try again shortly", not "give up".
+// started, try again shortly", not "give up". An over-limit request body is
+// invalid input answered with 413 rather than 400.
 func writeErr(w http.ResponseWriter, err error) {
 	status := guard.HTTPStatus(err)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}

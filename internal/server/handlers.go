@@ -58,36 +58,46 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeJSON strictly decodes a request body; unknown fields are invalid
-// input (400), catching typoed parameters instead of silently defaulting.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return guard.Invalidf("server: decoding request body: %v", err)
-	}
-	return nil
-}
+// maxBodyBytes bounds every request body; a larger body is refused with 413.
+const maxBodyBytes = 1 << 20
 
-// readBody reads a bounded request body. Campaign handlers read the raw
-// bytes (rather than streaming into the decoder) because the submission body
-// is also the job's durable parameter record — recovery re-decodes the same
-// bytes through the same path.
-func readBody(r *http.Request) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+// decodeJSON reads a bounded request body and decodes it strictly.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	data, err := readBody(w, r)
 	if err != nil {
-		return nil, guard.Invalidf("server: reading request body: %v", err)
+		return err
 	}
-	return data, nil
+	return decodeStrict(data, v)
 }
 
-// decodeStrict is decodeJSON over raw bytes, shared by the live handlers and
-// startup recovery.
+// readBody reads a request body of at most maxBodyBytes. Past the limit the
+// error wraps *http.MaxBytesError, which writeErr answers with 413. Campaign
+// handlers keep the raw bytes because the submission body is also the job's
+// durable parameter record — recovery re-decodes the same bytes through
+// decodeStrict. A declared Content-Length sizes the buffer up front, so a
+// large body is not copied through repeated growth.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return nil, fmt.Errorf("server: reading request body: %w: %w", err, guard.ErrInvalidInput)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeStrict decodes exactly one JSON value from data. Unknown fields and
+// anything but whitespace after the value are invalid input (400), catching
+// typoed or stale parameters instead of silently ignoring them.
 func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return guard.Invalidf("server: decoding request body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return guard.Invalidf("server: decoding request body: data after the JSON value")
 	}
 	return nil
 }
@@ -180,10 +190,6 @@ type analyzeRequest struct {
 	// Limited applies the preemption-count refinement (Algorithm 1 only).
 	Limited        bool `json:"limited,omitempty"`
 	MaxPreemptions int  `json:"max_preemptions,omitempty"`
-	// Solver is "auto" (default), "monotone" or "cutting"; results are
-	// bit-identical for every value (the solver only changes how many
-	// fixpoint iterations the bound costs).
-	Solver string `json:"solver,omitempty"`
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -194,7 +200,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req analyzeRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -210,11 +216,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		method = core.Equation4
 	default:
 		s.fail(w, guard.Invalidf("server: unknown method %q (want algorithm1 or equation4)", req.Method))
-		return
-	}
-	solver, err := core.ParseSolver(req.Solver)
-	if err != nil {
-		s.fail(w, err)
 		return
 	}
 	fn, err := req.Delay.Build(req.C)
@@ -234,7 +235,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	res, err := guard.Run(g, "analyze", func() (core.Result, error) {
 		return core.Analyze(g, fn, req.Q, core.Options{
 			Method: method, Limited: req.Limited, MaxPreemptions: req.MaxPreemptions,
-			Memo: s.memo, Solver: solver,
+			Memo: s.memo,
 		})
 	})
 	if err != nil {
@@ -267,9 +268,6 @@ type analyzeSetRequest struct {
 	// reused instead of recomputed, and the response reports the
 	// "recomputed"/"reused" split. Values are bit-identical either way.
 	Delta bool `json:"delta,omitempty"`
-	// Solver is "auto" (default), "monotone" or "cutting"; results are
-	// bit-identical for every value.
-	Solver string `json:"solver,omitempty"`
 }
 
 func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
@@ -280,7 +278,7 @@ func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req analyzeSetRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}
@@ -297,18 +295,13 @@ func (s *Server) handleAnalyzeSet(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, guard.Invalidf("server: delta mode requires the result cache (start with -cache)"))
 		return
 	}
-	solver, err := core.ParseSolver(req.Solver)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
 	g, cancel, err := s.reqGuard(r, s.cfg.AnalyzeBudget)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	defer cancel()
-	opts := eval.SweepOptions{Qs: qs, Obs: s.sc, Solver: solver}
+	opts := eval.SweepOptions{Qs: qs, Obs: s.sc}
 	if req.Delta {
 		opts.Memo = s.memo
 	}
@@ -397,7 +390,7 @@ func (s *Server) acceptanceFromJSON(body []byte) (eval.AcceptanceParams, string,
 }
 
 func (s *Server) handleCampaignAcceptance(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
+	body, err := readBody(w, r)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -446,7 +439,7 @@ func (s *Server) monteCarloFromJSON(body []byte) (eval.MonteCarloParams, error) 
 }
 
 func (s *Server) handleCampaignMonteCarlo(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
+	body, err := readBody(w, r)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -491,7 +484,7 @@ func (s *Server) atlasFromJSON(body []byte) (eval.AtlasParams, error) {
 }
 
 func (s *Server) handleCampaignAtlas(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
+	body, err := readBody(w, r)
 	if err != nil {
 		s.fail(w, err)
 		return

@@ -31,11 +31,17 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 	return s, "http://" + s.Addr()
 }
 
-// doJSON posts body (marshaled) and decodes the JSON response.
+// rawBody is a request body doJSON sends verbatim instead of marshaling.
+type rawBody []byte
+
+// doJSON posts body (marshaled, unless it is a rawBody) and decodes the JSON
+// response.
 func doJSON(t *testing.T, method, url string, body any) (int, http.Header, map[string]any) {
 	t.Helper()
 	var rd io.Reader
-	if body != nil {
+	if raw, ok := body.(rawBody); ok {
+		rd = bytes.NewReader(raw)
+	} else if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
@@ -123,27 +129,46 @@ func TestAnalyzeEndpoint(t *testing.T) {
 }
 
 // TestAnalyzeErrorMapping pins the typed error contract over HTTP: invalid
-// input 400, budget 422, deadline 504, each with its machine-readable code.
+// input 400 (413 for an over-limit body), budget 422, deadline 504, each
+// with its machine-readable code.
 func TestAnalyzeErrorMapping(t *testing.T) {
 	_, base := newTestServer(t, nil)
+	valid, err := json.Marshal(analyzeBody(15, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversized := append([]byte(`{"c":40,"q":15,"method":"`), bytes.Repeat([]byte("a"), maxBodyBytes)...)
+	oversized = append(oversized, `"}`...)
 	cases := []struct {
 		name   string
 		url    string
 		body   any
 		status int
 		code   string
+		errHas string // substring the error message must contain
 	}{
-		{"bad-json-field", "/v1/analyze", map[string]any{"nope": 1}, 400, "invalid"},
-		{"missing-delay", "/v1/analyze", map[string]any{"c": 40, "q": 15}, 400, "invalid"},
+		{"bad-json-field", "/v1/analyze", map[string]any{"nope": 1}, 400, "invalid", `unknown field "nope"`},
+		{"stale-solver-field", "/v1/analyze", func() any {
+			b := analyzeBody(15, 40)
+			b["solver"] = "monotone"
+			return b
+		}(), 400, "invalid", `unknown field "solver"`},
+		{"stale-solver-field-analyzeset", "/v1/analyzeset",
+			map[string]any{"spec": map[string]any{}, "solver": "auto"}, 400, "invalid", `unknown field "solver"`},
+		{"trailing-garbage", "/v1/analyze", rawBody(string(valid) + " xyz"), 400, "invalid", "after the JSON value"},
+		{"trailing-second-value", "/v1/analyze", rawBody(string(valid) + "{}"), 400, "invalid", "after the JSON value"},
+		{"trailing-whitespace-ok", "/v1/analyze", rawBody(string(valid) + "\n\t \n"), 200, "", ""},
+		{"body-over-1MiB", "/v1/analyze", rawBody(oversized), 413, "invalid", "request body too large"},
+		{"missing-delay", "/v1/analyze", map[string]any{"c": 40, "q": 15}, 400, "invalid", ""},
 		{"bad-method", "/v1/analyze", func() any {
 			b := analyzeBody(15, 40)
 			b["method"] = "magic"
 			return b
-		}(), 400, "invalid"},
-		{"bad-timeout-param", "/v1/analyze?timeout=yesterday", analyzeBody(15, 40), 400, "invalid"},
-		{"budget-exhausted", "/v1/analyze?budget=2", analyzeBody(15, 10000), 422, "budget"},
-		{"deadline", "/v1/analyze?timeout=1ns", analyzeBody(15, 10000), 504, "canceled"},
-		{"diverged-is-200", "/v1/analyze", analyzeBody(2, 40), 200, ""}, // Q <= peak: +Inf bound, still an answer
+		}(), 400, "invalid", ""},
+		{"bad-timeout-param", "/v1/analyze?timeout=yesterday", analyzeBody(15, 40), 400, "invalid", ""},
+		{"budget-exhausted", "/v1/analyze?budget=2", analyzeBody(15, 10000), 422, "budget", ""},
+		{"deadline", "/v1/analyze?timeout=1ns", analyzeBody(15, 10000), 504, "canceled", ""},
+		{"diverged-is-200", "/v1/analyze", analyzeBody(2, 40), 200, "", ""}, // Q <= peak: +Inf bound, still an answer
 	}
 	for _, c := range cases {
 		c := c
@@ -154,6 +179,9 @@ func TestAnalyzeErrorMapping(t *testing.T) {
 			}
 			if c.code != "" && v["code"] != c.code {
 				t.Fatalf("code %v, want %q (body %v)", v["code"], c.code, v)
+			}
+			if msg, _ := v["error"].(string); !strings.Contains(msg, c.errHas) {
+				t.Fatalf("error %q does not mention %q", msg, c.errHas)
 			}
 			if c.name == "diverged-is-200" {
 				if v["diverged"] != true || v["total_delay"] != "+Inf" {
