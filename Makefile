@@ -7,7 +7,7 @@ GO ?= go
 BENCH_OUT ?= bench.out
 BENCH_JSON ?= BENCH_PR3.json
 
-.PHONY: build test check race vet lint-api bench bench-smoke bench-pr5 bench-pr8 bench-pr9 bench-pr10 bench-regress bench-regress-pr8 bench-regress-pr9 bench-regress-pr10 nfr figures
+.PHONY: build test check race vet lint-api bench bench-smoke bench-pr5 bench-pr8 bench-pr9 bench-pr10 bench-regress nfr figures
 
 build:
 	$(GO) build ./...
@@ -65,14 +65,6 @@ bench-pr8:
 	$(GO) run ./cmd/benchjson -in bench_pr8.out -out BENCH_PR8.json
 	@echo "wrote BENCH_PR8.json"
 
-# bench-regress-pr8 is bench-regress for the result-cache layer: rerun the
-# memoized-sweep and incremental-AnalyzeSet benchmarks and compare against
-# the checked-in BENCH_PR8.json baseline (machine-speed normalised).
-bench-regress-pr8:
-	$(GO) test . -run '^$$' -bench 'MemoSweep|AnalyzeSetEdit' -benchtime 300ms -benchmem > bench_pr8_current.out
-	$(GO) run ./cmd/benchjson -in bench_pr8_current.out -out bench_pr8_current.json
-	$(GO) run ./tools/benchregress -baseline BENCH_PR8.json -current bench_pr8_current.json -tolerance 0.30
-
 # bench-pr9 captures the fixpoint layer: the delay-aware RTA over
 # warm-seeded task sets (monotone iteration, the only RTA solver) at several
 # delay-curve sizes. The rta-iters/op metric records the engine-evaluation
@@ -81,14 +73,6 @@ bench-pr9:
 	$(GO) test . -run '^$$' -bench 'RTASolver' -benchmem > bench_pr9.out
 	$(GO) run ./cmd/benchjson -in bench_pr9.out -out BENCH_PR9.json
 	@echo "wrote BENCH_PR9.json"
-
-# bench-regress-pr9 is bench-regress for the fixpoint layer: rerun the RTA
-# benchmarks and compare against the checked-in BENCH_PR9.json baseline
-# (machine-speed normalised).
-bench-regress-pr9:
-	$(GO) test . -run '^$$' -bench 'RTASolver' -benchtime 300ms -benchmem > bench_pr9_current.out
-	$(GO) run ./cmd/benchjson -in bench_pr9_current.out -out bench_pr9_current.json
-	$(GO) run ./tools/benchregress -baseline BENCH_PR9.json -current bench_pr9_current.json -tolerance 0.30
 
 # bench-pr10 captures the exact schedule-graph layer: the worst-case-delay
 # and response-time explorations with and without merging + dominance
@@ -101,29 +85,38 @@ bench-pr10:
 	$(GO) run ./cmd/benchjson -in bench_pr10.out -out BENCH_PR10.json
 	@echo "wrote BENCH_PR10.json"
 
-# bench-regress-pr10 is bench-regress for the exact-exploration layer:
-# rerun the schedule-graph benchmarks and compare against the checked-in
-# BENCH_PR10.json baseline (machine-speed normalised).
-bench-regress-pr10:
-	$(GO) test . -run '^$$' -bench 'Exact(Delay|SAG|Memo)' -benchtime 300ms -benchmem > bench_pr10_current.out
-	$(GO) run ./cmd/benchjson -in bench_pr10_current.out -out bench_pr10_current.json
-	$(GO) run ./tools/benchregress -baseline BENCH_PR10.json -current bench_pr10_current.json -tolerance 0.30
-
-# bench-regress is the CI tripwire: rerun the analysis-kernel benchmarks,
-# render a fresh report to bench_current.json (NOT the checked-in baseline
-# file, which bench-smoke overwrites) and compare, machine-speed normalised,
-# failing on any >30% relative ns/op regression. Missing benchmarks or
-# metrics are skipped, never fatal. The benchtime is a duration, not an
-# iteration count, so Go scales iterations per benchmark — the sub-µs
+# bench-regress is the CI tripwire over every regression baseline. Each row
+# of BENCH_REGRESS_ROWS is 'baseline:pattern': rerun the benchmarks matching
+# pattern, render a fresh report to the baseline's own current file
+# (BENCH_PR8.json -> bench_pr8_current.json; never over a checked-in
+# baseline, which bench-smoke and the bench-prN targets overwrite) and
+# compare, machine-speed
+# normalised, failing on any >30% relative ns/op regression. Missing
+# benchmarks or metrics are skipped, never fatal. Every row runs even after
+# one fails, and the target fails if any did. The benchtime is a duration,
+# not an iteration count, so Go scales iterations per benchmark: the sub-µs
 # kernels get the millions of iterations they need for a stable ns/op.
+# The rows, in order: analysis kernels, result cache, fixpoint layer, exact
+# exploration.
+BENCH_REGRESS_ROWS = \
+	'$(BENCH_JSON):Figure5Sweep/kernel=|IndexedKernel' \
+	'BENCH_PR8.json:MemoSweep|AnalyzeSetEdit' \
+	'BENCH_PR9.json:RTASolver' \
+	'BENCH_PR10.json:Exact(Delay|SAG|Memo)'
+
 bench-regress:
-	$(GO) test . -run '^$$' -bench 'Figure5Sweep/kernel=|IndexedKernel' -benchtime 300ms -benchmem > bench_current.out
-	$(GO) run ./cmd/benchjson -in bench_current.out -out bench_current.json
-	$(GO) run ./tools/benchregress -baseline $(BENCH_JSON) -current bench_current.json -tolerance 0.30
+	@status=0; for row in $(BENCH_REGRESS_ROWS); do \
+		base=$${row%%:*}; pat=$${row#*:}; \
+		cur=$$(basename $$base .json | tr A-Z a-z)_current; \
+		echo "== $$base (-bench '$$pat') -> $$cur.json"; \
+		{ $(GO) test . -run '^$$' -bench "$$pat" -benchtime 300ms -benchmem > $$cur.out && \
+		  $(GO) run ./cmd/benchjson -in $$cur.out -out $$cur.json && \
+		  $(GO) run ./tools/benchregress -baseline $$base -current $$cur.json -tolerance 0.30; } || status=1; \
+	done; exit $$status
 
 # nfr enforces the absolute wall-clock ceilings of docs/nfr.md: every
 # user-facing scenario in the table must finish inside its per-row budget.
-# Unlike the bench-regress tripwires (relative, machine-normalised), these
+# Unlike the bench-regress tripwire (relative, machine-normalised), these
 # fail outright when a command stops fitting its budget. The build step
 # warms the cache so `go run` measures the scenario, not compilation.
 nfr:

@@ -150,18 +150,19 @@ func analyze(g *guard.Ctx, f delay.Function, q float64, opts Options) (Result, e
 		return analyzeRemaining(g, sc, f, q, opts)
 	}
 
-	trace := opts.traceBuf()
-	if opts.Limited && opts.MaxPreemptions >= 0 && trace == nil {
-		// The n-largest refinement needs the per-iteration charges even
-		// when the caller did not ask to keep a trace.
-		trace = new([]Iteration)
+	var top *topCharges
+	if opts.Limited && opts.MaxPreemptions >= 0 {
+		// The n-largest refinement needs only the n largest charges, not
+		// the trace: a walk of millions of short windows stays O(n) in
+		// memory.
+		top = &topCharges{n: opts.MaxPreemptions}
 	}
-	res, err := upperBoundFrom(g, sc, f, q, q, trace, opts.Hints)
+	res, err := upperBoundFrom(g, sc, f, q, q, opts.traceBuf(), top, opts.Hints)
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.Limited && opts.MaxPreemptions >= 0 {
-		res.TotalDelay = limitCharges(f, res, opts.MaxPreemptions)
+	if top != nil {
+		res.TotalDelay = limitCharges(f, res, top)
 		res.Diverged = math.IsInf(res.TotalDelay, 1)
 	}
 	if !opts.Trace {
@@ -184,26 +185,66 @@ func (o Options) traceBuf() *[]Iteration {
 
 // limitCharges applies the preemption-count refinement to a completed walk:
 // the cumulative delay of a job preemptible at most n times is bounded by the
-// sum of the n largest per-iteration charges. A divergent (truncated) trace
+// sum of the n largest per-iteration charges. A divergent (truncated) walk
 // only supports the trace-free n × max f bound.
-func limitCharges(f delay.Function, res Result, n int) float64 {
+func limitCharges(f delay.Function, res Result, top *topCharges) float64 {
 	if res.Diverged {
 		_, maxF := f.MaxOn(0, f.Domain())
-		return float64(n) * maxF
+		return float64(top.n) * maxF
 	}
-	if n >= len(res.Iterations) {
+	if top.n >= res.Preemptions {
 		return res.TotalDelay
 	}
-	charges := make([]float64, len(res.Iterations))
-	for i, it := range res.Iterations {
-		charges[i] = it.DelayMax
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(charges)))
+	// Largest first, the order a descending sort of every charge adds them.
+	sort.Sort(sort.Reverse(sort.Float64Slice(top.h)))
 	var total float64
-	for i := 0; i < n; i++ {
-		total += charges[i]
+	for _, c := range top.h {
+		total += c
 	}
 	return total
+}
+
+// topCharges keeps the n largest charges offered to it. Until n have
+// arrived it only appends; from then on h is a min-heap and a larger charge
+// replaces the smallest kept one.
+type topCharges struct {
+	n int
+	h []float64
+}
+
+func (t *topCharges) add(c float64) {
+	if len(t.h) < t.n {
+		t.h = append(t.h, c)
+		if len(t.h) == t.n {
+			for i := t.n/2 - 1; i >= 0; i-- {
+				t.down(i)
+			}
+		}
+		return
+	}
+	if t.n > 0 && c > t.h[0] {
+		t.h[0] = c
+		t.down(0)
+	}
+}
+
+// down restores the min-heap order below h[i].
+func (t *topCharges) down(i int) {
+	h := t.h
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // analyzeEq4 is the Equation 4 baseline under Analyze: validation, the global
@@ -251,7 +292,7 @@ func analyzeRemaining(g *guard.Ctx, sc *obs.Scope, f delay.Function, q float64, 
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := upperBoundFrom(g, sc, suffix, q, q-current, opts.traceBuf(), nil)
+	res, err := upperBoundFrom(g, sc, suffix, q, q-current, opts.traceBuf(), nil, nil)
 	if err != nil {
 		return Result{}, err
 	}

@@ -133,7 +133,8 @@ type WalkHints struct {
 // (first = Q - pending payback). When trace is non-nil the per-iteration
 // records are appended to it (reusing its capacity) and returned as
 // Result.Iterations; a nil trace skips the bookkeeping entirely, making the
-// walk allocation-free.
+// walk allocation-free. When top is non-nil every iteration's charge is
+// offered to it (the preemption-count refinement keeps only the largest).
 //
 // Observability: iteration and kernel-query counts are accumulated in locals
 // and flushed to the scope's counters once per return site, so the hot loop
@@ -144,7 +145,7 @@ type WalkHints struct {
 // k's descending-line search with hints.In[k] and records the pieces this
 // walk produced into hints.Out — bit-identical to the unhinted walk, see
 // WalkHints.
-func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first float64, trace *[]Iteration, hints *WalkHints) (Result, error) {
+func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first float64, trace *[]Iteration, top *topCharges, hints *WalkHints) (Result, error) {
 	if f == nil {
 		return Result{}, guard.Invalidf("core: nil delay function")
 	}
@@ -218,6 +219,9 @@ func upperBoundFrom(g *guard.Ctx, sc *obs.Scope, f delay.Function, q, first floa
 		pnext = prog + q - delayMax
 		res.TotalDelay += delayMax
 		res.Preemptions++
+		if top != nil {
+			top.add(delayMax)
+		}
 		if trace != nil {
 			*trace = append(*trace, Iteration{
 				Prog:       prog,

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"fnpr/internal/delay"
@@ -175,5 +176,49 @@ func TestPreemptionCount(t *testing.T) {
 	}
 	if _, err := PreemptionCount(10, []float64{10, 20}, []float64{1}); err == nil {
 		t.Fatal("accepted mismatched jitters")
+	}
+}
+
+// The limited bound keeps only the n largest charges while walking; it must
+// equal, bit for bit, the sum of the n largest DelayMax of the full trace
+// added largest first, for every n around the iteration count.
+func TestUpperBoundLimitedMatchesTrace(t *testing.T) {
+	r := rand.New(rand.NewSource(2718))
+	for trial := 0; trial < 200; trial++ {
+		c := 50 + r.Float64()*400
+		maxV := 1 + r.Float64()*8
+		q := maxV + 0.1 + r.Float64()*20
+		f := randomPiecewise(r, c, maxV)
+		full, err := Analyze(nil, f, q, Options{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		charges := make([]float64, len(full.Iterations))
+		for i, it := range full.Iterations {
+			charges[i] = it.DelayMax
+		}
+		sort.Sort(sort.Reverse(sort.Float64Slice(charges)))
+		for _, n := range []int{0, 1, 2, 3, 7, len(charges) / 2, len(charges) - 1, len(charges), len(charges) + 1} {
+			if n < 0 {
+				continue
+			}
+			want := full.TotalDelay
+			if n < len(charges) {
+				want = 0
+				for _, ch := range charges[:n] {
+					want += ch
+				}
+			}
+			for _, tr := range []bool{false, true} {
+				got, err := Analyze(nil, f, q, Options{Limited: true, MaxPreemptions: n, Trace: tr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got.TotalDelay) != math.Float64bits(want) {
+					t.Fatalf("trial %d n=%d trace=%v: limited %v, trace charges give %v (Q=%g, f=%v)",
+						trial, n, tr, got.TotalDelay, want, q, f)
+				}
+			}
+		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"fnpr/internal/delay"
@@ -40,8 +38,8 @@ type AcceptanceParams struct {
 	// QFraction sets Q as a fraction of C (clamped to C).
 	QFraction float64
 	// Workers is the size of the trial worker pool; <= 0 selects
-	// GOMAXPROCS, 1 runs serially on the caller's goroutine. The result
-	// is bit-identical for every value.
+	// GOMAXPROCS. Trials always run on pool goroutines, each under its own
+	// panic recovery; the result is bit-identical for every value.
 	Workers int
 	// Obs receives campaign progress events and metrics; nil falls back
 	// to the guard's scope.
@@ -315,14 +313,10 @@ func Acceptance(g *guard.Ctx, p AcceptanceParams) (*textplot.Table, error) {
 		return nil, err
 	}
 	pts := p.points()
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	sc := p.scope(g)
 	total := len(pts) * p.SetsPerPoint
 	sc.Emit(obs.Event{Type: obs.CampaignStarted, Spec: "acceptance", Total: total})
-	sc.Gauge("campaign.workers").Set(float64(workers))
+	sc.Gauge("campaign.workers").Set(float64(poolSize(p.Workers)))
 	trialsDone := sc.Counter("campaign.trials")
 
 	admits := make([][4]int, len(pts))
@@ -334,45 +328,64 @@ func Acceptance(g *guard.Ctx, p AcceptanceParams) (*textplot.Table, error) {
 		sc.Emit(obs.Event{Type: obs.CampaignResumed, Spec: "acceptance",
 			Restored: n * p.SetsPerPoint, Total: total})
 	}
-	// checkpoint appends the point's aggregate to the journal; an append
-	// failure aborts the campaign (a journal that silently stops recording
-	// would resume wrong).
-	checkpoint := func(pt int, u float64, admit [4]int) error {
-		if p.Journal == nil {
-			return nil
-		}
-		return p.Journal.Append(acceptancePointKey(pt, u), acceptancePointRec{U: u, Admit: admit})
-	}
 
-	if workers == 1 {
-		done := 0
-		for pt, u := range pts {
+	// Each (point, trial) shard writes its verdict into its own slot.
+	// pointLeft counts each point's outstanding trials so the worker
+	// finishing a point's last trial aggregates its admit counts (in slot
+	// order, so the table is independent of worker interleaving),
+	// checkpoints it and emits its progress event. Restored points skip all
+	// their trials.
+	verdicts := make([]acceptanceVerdict, total)
+	pointLeft := make([]atomic.Int64, len(pts))
+	var completed atomic.Int64
+	for i := range pointLeft {
+		if restored[i] {
+			completed.Add(int64(p.SetsPerPoint))
+			continue
+		}
+		pointLeft[i].Store(int64(p.SetsPerPoint))
+	}
+	err := runPool("acceptance trial", p.Workers, total, func(int) func(int) error {
+		return func(idx int) error {
+			pt := idx / p.SetsPerPoint
 			if restored[pt] {
-				done += p.SetsPerPoint
-				continue
+				return nil
 			}
+			v, err := acceptanceTrial(g, p, pt, pts[pt], idx%p.SetsPerPoint)
+			if err != nil {
+				return err
+			}
+			verdicts[idx] = v
+			trialsDone.Inc()
+			done := completed.Add(1)
+			if pointLeft[pt].Add(-1) != 0 {
+				return nil
+			}
+			// Last trial of the point: every sibling slot was written
+			// before its pointLeft decrement, so the aggregation below
+			// observes all of them.
 			var admit [4]int
-			for tr := 0; tr < p.SetsPerPoint; tr++ {
-				v, err := acceptanceTrial(g, p, pt, u, tr)
-				if err != nil {
-					return nil, err
-				}
+			for _, v := range verdicts[pt*p.SetsPerPoint : (pt+1)*p.SetsPerPoint] {
 				for k, ok := range v.admit {
 					if ok {
 						admit[k]++
 					}
 				}
-				trialsDone.Inc()
 			}
 			admits[pt] = admit
-			if err := checkpoint(pt, u, admit); err != nil {
-				return nil, err
+			// A failed append aborts the campaign: a journal that silently
+			// stops recording would resume wrong.
+			if p.Journal != nil {
+				if err := p.Journal.Append(acceptancePointKey(pt, pts[pt]), acceptancePointRec{U: pts[pt], Admit: admit}); err != nil {
+					return err
+				}
 			}
-			done += p.SetsPerPoint
 			sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "acceptance",
-				Q: u, Completed: done, Total: total})
+				Q: pts[pt], Completed: int(done), Total: total})
+			return nil
 		}
-	} else if err := p.runSharded(g, sc, pts, workers, admits, restored, checkpoint); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -398,103 +411,6 @@ func Acceptance(g *guard.Ctx, p AcceptanceParams) (*textplot.Table, error) {
 	sc.Emit(obs.Event{Type: obs.CampaignFinished, Spec: "acceptance",
 		Completed: total, Total: total})
 	return tbl, nil
-}
-
-// runSharded fans the campaign's (point, trial) shards out over the worker
-// pool, writing each verdict into its own slot of a shared slice. The worker
-// finishing a point's last trial aggregates that point's admit counts into
-// admits (verdicts are per-slot, so the aggregation order — and hence the
-// table — is independent of worker interleaving), checkpoints it and emits
-// its progress event. Restored points are never enqueued. The first abortive
-// error wins; remaining shards are skipped.
-func (p AcceptanceParams) runSharded(g *guard.Ctx, sc *obs.Scope, pts []float64, workers int,
-	admits [][4]int, restored []bool, checkpoint func(int, float64, [4]int) error) error {
-	trialsDone := sc.Counter("campaign.trials")
-	total := len(pts) * p.SetsPerPoint
-	verdicts := make([]acceptanceVerdict, total)
-	// pointLeft counts each utilization point's outstanding trials so the
-	// worker finishing a point's last trial can aggregate and checkpoint it.
-	pointLeft := make([]atomic.Int64, len(pts))
-	var completed atomic.Int64
-	for i := range pointLeft {
-		if restored[i] {
-			completed.Add(int64(p.SetsPerPoint))
-			continue
-		}
-		pointLeft[i].Store(int64(p.SetsPerPoint))
-	}
-
-	var (
-		mu       sync.Mutex
-		abortErr error
-	)
-	abort := func(err error) {
-		mu.Lock()
-		if abortErr == nil {
-			abortErr = err
-		}
-		mu.Unlock()
-	}
-	aborted := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return abortErr != nil
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if aborted() {
-					continue
-				}
-				pt := idx / p.SetsPerPoint
-				tr := idx % p.SetsPerPoint
-				v, err := acceptanceTrial(g, p, pt, pts[pt], tr)
-				if err != nil {
-					abort(err)
-					continue
-				}
-				verdicts[idx] = v
-				trialsDone.Inc()
-				done := completed.Add(1)
-				if pointLeft[pt].Add(-1) == 0 {
-					// Last trial of the point: every sibling slot was
-					// written before its pointLeft decrement, so the
-					// aggregation below observes all of them.
-					var admit [4]int
-					for i := pt * p.SetsPerPoint; i < (pt+1)*p.SetsPerPoint; i++ {
-						for k, ok := range verdicts[i].admit {
-							if ok {
-								admit[k]++
-							}
-						}
-					}
-					admits[pt] = admit
-					if err := checkpoint(pt, pts[pt], admit); err != nil {
-						abort(err)
-						continue
-					}
-					sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "acceptance",
-						Q: pts[pt], Completed: int(done), Total: total})
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < total; idx++ {
-		if restored[idx/p.SetsPerPoint] {
-			continue
-		}
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return abortErr
 }
 
 // AcceptanceChecks verifies the structural guarantees the experiment must

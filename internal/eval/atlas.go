@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"fnpr/internal/core"
@@ -185,81 +183,30 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 	if err := g.Err(); err != nil {
 		return nil, err
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	sc := p.scope(g)
 	cellsTotal := len(atlasFamilies) * len(p.Qs)
 	sc.Emit(obs.Event{Type: obs.CampaignStarted, Spec: "atlas", Total: cellsTotal})
-	sc.Gauge("campaign.workers").Set(float64(workers))
+	sc.Gauge("campaign.workers").Set(float64(poolSize(p.Workers)))
 	cellsDone := sc.Counter("campaign.trials")
 
 	cells := make([]atlasCell, cellsTotal)
-	if workers == 1 {
-		ex := exact.NewExplorer()
-		for i := range cells {
+	var completed atomic.Int64
+	err := runPool("atlas cell", p.Workers, cellsTotal, func(int) func(int) error {
+		ex := exact.NewExplorer() // per-worker pooled explorer
+		return func(i int) error {
 			c, err := atlasCellRun(g, p, i/len(p.Qs), i%len(p.Qs), ex, sc)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cells[i] = c
 			cellsDone.Inc()
 			sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "atlas",
-				Completed: i + 1, Total: cellsTotal})
+				Completed: int(completed.Add(1)), Total: cellsTotal})
+			return nil
 		}
-	} else {
-		var (
-			mu       sync.Mutex
-			abortErr error
-		)
-		abort := func(err error) {
-			mu.Lock()
-			if abortErr == nil {
-				abortErr = err
-			}
-			mu.Unlock()
-		}
-		aborted := func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return abortErr != nil
-		}
-		var completed atomic.Int64
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ex := exact.NewExplorer() // per-worker pooled explorer
-				for i := range jobs {
-					if aborted() {
-						continue
-					}
-					c, err := atlasCellRun(g, p, i/len(p.Qs), i%len(p.Qs), ex, sc)
-					if err != nil {
-						abort(err)
-						continue
-					}
-					cells[i] = c
-					cellsDone.Inc()
-					sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "atlas",
-						Completed: int(completed.Add(1)), Total: cellsTotal})
-				}
-			}()
-		}
-		for i := 0; i < cellsTotal; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		mu.Lock()
-		err := abortErr
-		mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	tbl := &textplot.Table{

@@ -2,8 +2,6 @@ package eval
 
 import (
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"fnpr/internal/core"
@@ -30,8 +28,9 @@ type MonteCarloParams struct {
 	MaxTasks int
 	// Horizon is the simulated span per trial.
 	Horizon float64
-	// Workers sizes the worker pool; <= 0 selects GOMAXPROCS, 1 runs
-	// serially. Each worker owns one pooled sim.Runner.
+	// Workers sizes the worker pool; <= 0 selects GOMAXPROCS. Each worker
+	// owns one pooled sim.Runner, every trial runs under its own panic
+	// recovery, and the report is bit-identical for every value.
 	Workers int
 	// Obs receives campaign progress events and metrics; nil falls back
 	// to the guard's scope.
@@ -166,13 +165,9 @@ func MonteCarlo(g *guard.Ctx, p MonteCarloParams) (*MonteCarloReport, error) {
 	if err := g.Err(); err != nil {
 		return nil, err
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	sc := p.scope(g)
 	sc.Emit(obs.Event{Type: obs.CampaignStarted, Spec: "montecarlo", Total: p.Trials})
-	sc.Gauge("campaign.workers").Set(float64(workers))
+	sc.Gauge("campaign.workers").Set(float64(poolSize(p.Workers)))
 	trialsDone := sc.Counter("campaign.trials")
 	// Progress granularity: ten CampaignPoint events across the run.
 	chunk := p.Trials / 10
@@ -181,74 +176,25 @@ func MonteCarlo(g *guard.Ctx, p MonteCarloParams) (*MonteCarloReport, error) {
 	}
 
 	verdicts := make([]mcVerdict, p.Trials)
-	if workers == 1 {
-		runner := sim.NewRunner()
-		for tr := 0; tr < p.Trials; tr++ {
+	var completed atomic.Int64
+	err := runPool("montecarlo trial", p.Workers, p.Trials, func(int) func(int) error {
+		runner := sim.NewRunner() // per-worker pooled simulator
+		return func(tr int) error {
 			v, err := monteCarloTrial(g, p, tr, runner)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			verdicts[tr] = v
 			trialsDone.Inc()
-			if (tr+1)%chunk == 0 {
+			if done := completed.Add(1); done%int64(chunk) == 0 {
 				sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "montecarlo",
-					Completed: tr + 1, Total: p.Trials})
+					Completed: int(done), Total: p.Trials})
 			}
+			return nil
 		}
-	} else {
-		var (
-			mu       sync.Mutex
-			abortErr error
-		)
-		abort := func(err error) {
-			mu.Lock()
-			if abortErr == nil {
-				abortErr = err
-			}
-			mu.Unlock()
-		}
-		aborted := func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return abortErr != nil
-		}
-		var completed atomic.Int64
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				runner := sim.NewRunner() // per-worker pooled simulator
-				for tr := range jobs {
-					if aborted() {
-						continue
-					}
-					v, err := monteCarloTrial(g, p, tr, runner)
-					if err != nil {
-						abort(err)
-						continue
-					}
-					verdicts[tr] = v
-					trialsDone.Inc()
-					if done := completed.Add(1); done%int64(chunk) == 0 {
-						sc.Emit(obs.Event{Type: obs.CampaignPoint, Spec: "montecarlo",
-							Completed: int(done), Total: p.Trials})
-					}
-				}
-			}()
-		}
-		for tr := 0; tr < p.Trials; tr++ {
-			jobs <- tr
-		}
-		close(jobs)
-		wg.Wait()
-		mu.Lock()
-		err := abortErr
-		mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	rep := &MonteCarloReport{Trials: p.Trials, MinSlack: math.Inf(1)}

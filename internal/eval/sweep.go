@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -105,13 +104,6 @@ func ReasonOf(err error) Reason {
 	default:
 		return ReasonError
 	}
-}
-
-// ReasonCode maps an analysis error to its machine-readable class name.
-//
-// Deprecated: use ReasonOf(err).String().
-func ReasonCode(err error) string {
-	return ReasonOf(err).String()
 }
 
 // SweepPoint is one (Q, bound) sample, together with the full story of how it
@@ -421,10 +413,6 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 	if err := g.Err(); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// Build each spec's query index once, up front, and share it across the
 	// whole Q grid and every worker (Indexed is immutable, hence safe for
 	// concurrent queries). Working on a copy keeps the caller's specs
@@ -455,10 +443,10 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 		}
 		sc.Emit(obs.Event{Type: obs.SweepResumed, Restored: restorable, Total: total})
 	}
+	workers := poolSize(opts.Workers)
 	sc.Gauge("sweep.workers").Set(float64(workers))
 
 	type job struct{ si, qi int }
-	jobs := make(chan job)
 	results := make([]SweepResult, len(specs))
 	for i, s := range specs {
 		results[i] = SweepResult{Name: s.Name, Points: make([]SweepPoint, len(qs))}
@@ -477,22 +465,6 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 	}
 	hintSlots := make([]hintSlot, len(specs))
 
-	var (
-		mu       sync.Mutex
-		abortErr error
-	)
-	abort := func(err error) {
-		mu.Lock()
-		if abortErr == nil {
-			abortErr = err
-		}
-		mu.Unlock()
-	}
-	aborted := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return abortErr != nil
-	}
 	// fatal classifies errors that must stop the whole sweep: a caller
 	// abort, or exhaustion of the sweep's own shared budget (once it is
 	// gone, every remaining point would fail the same way).
@@ -511,22 +483,11 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 			errors.Is(err, guard.ErrDiverged) ||
 			errors.Is(err, guard.ErrInvalidInput)
 	}
-	// checkpoint appends the completed point to the journal. A journal
-	// write failure is sweep-fatal: continuing would break the crash-
-	// safety contract the caller asked for.
-	checkpoint := func(jb job, pt *SweepPoint) {
-		if opts.Journal == nil {
-			return
-		}
-		key := gridKey(specs[jb.si].Name, jb.qi, qs[jb.qi])
-		if err := opts.Journal.Append(key, *pt); err != nil {
-			abort(err)
-		}
-	}
 	// finish settles a point: ladder counters, the point's progress events
 	// and the checkpoint write. Every rung of the ladder funnels through
-	// here exactly once per point.
-	finish := func(jb job, pt *SweepPoint, restored bool) {
+	// here exactly once per point. A journal write failure is sweep-fatal:
+	// continuing would break the crash-safety contract the caller asked for.
+	finish := func(jb job, pt *SweepPoint, restored bool) error {
 		pt.Done = true
 		switch {
 		case restored:
@@ -541,157 +502,139 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 			sc.Counter("sweep.points.clean").Inc()
 		}
 		sc.Emit(obs.Event{Type: obs.PointDone, Spec: results[jb.si].Name, Q: pt.Q, Attempt: pt.Attempts, Code: pt.Code()})
-		if !restored {
-			checkpoint(jb, pt)
+		if restored || opts.Journal == nil {
+			return nil
 		}
+		return opts.Journal.Append(gridKey(specs[jb.si].Name, jb.qi, qs[jb.qi]), *pt)
 	}
 
-	timed := sc != nil
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var busyNs, waitNs, points int64
-			var idleSince time.Time
-			if timed {
-				idleSince = time.Now()
+	// point walks one grid point down the degradation ladder. It returns
+	// whether the point was computed (not restored) and the sweep-fatal
+	// error, if any.
+	point := func(jb job) (computed bool, err error) {
+		spec, q := specs[jb.si], qs[jb.qi]
+		pt := &results[jb.si].Points[jb.qi]
+		pt.Q = q
+		if restorePoint(opts.Resume, spec.Name, jb.qi, q, pt) {
+			return false, finish(jb, pt, true)
+		}
+		label := fmt.Sprintf("%s at Q=%g", spec.Name, q)
+		pol := opts.Retry
+		if pol.Sleep == nil {
+			// Backoff sleeps observe the guard's cancellation channel: a
+			// SIGTERM arriving mid-backoff aborts the sweep promptly (and
+			// flushes metrics/journal) instead of sleeping through the
+			// signal.
+			pol.Sleep = guardSleep(g)
+		}
+		if sc != nil {
+			pol.OnBackoff = func(n int, d time.Duration) {
+				sc.Counter("sweep.retries").Inc()
+				sc.Histogram("sweep.backoff_ns").Observe(d.Nanoseconds())
+				sc.Emit(obs.Event{Type: obs.PointRetried, Spec: spec.Name, Q: q, Attempt: n + 1})
 			}
-			for jb := range jobs {
-				var jobStart time.Time
-				if timed {
-					jobStart = time.Now()
-					waitNs += jobStart.Sub(idleSince).Nanoseconds()
-				}
-				if aborted() {
-					if timed {
-						idleSince = time.Now()
-					}
-					continue // drain
-				}
-				spec, q := specs[jb.si], qs[jb.qi]
-				pt := &results[jb.si].Points[jb.qi]
-				pt.Q = q
-				if restorePoint(opts.Resume, spec.Name, jb.qi, q, pt) {
-					finish(jb, pt, true)
-					if timed {
-						idleSince = time.Now()
-					}
-					continue
-				}
-				label := fmt.Sprintf("%s at Q=%g", spec.Name, q)
-				pol := opts.Retry
-				if pol.Sleep == nil {
-					// Backoff sleeps observe the guard's cancellation
-					// channel: a SIGTERM arriving mid-backoff aborts the
-					// sweep promptly (and flushes metrics/journal) instead
-					// of sleeping through the signal.
-					pol.Sleep = guardSleep(g)
-				}
-				if timed {
-					pol.OnBackoff = func(n int, d time.Duration) {
-						sc.Counter("sweep.retries").Inc()
-						sc.Histogram("sweep.backoff_ns").Observe(d.Nanoseconds())
-						sc.Emit(obs.Event{Type: obs.PointRetried, Spec: spec.Name, Q: q, Attempt: n + 1})
-					}
-				}
-				var hints core.WalkHints
-				v, err := retry.Do(pol, settled, func(attempt int) (core.Result, error) {
-					pt.Attempts = attempt + 1
-					return guard.Run(g, label, func() (core.Result, error) {
-						hs := &hintSlots[jb.si]
-						hs.mu.Lock()
-						in := hs.pieces
-						hs.mu.Unlock()
-						// Fresh Out every attempt: the stored slice is only
-						// ever read (as a later walk's In), never appended to.
-						hints = core.WalkHints{In: in}
-						return core.Analyze(g, spec.F, q, core.Options{Obs: sc, Memo: opts.Memo, Hints: &hints})
-					})
-				})
-				if err == nil {
-					pt.Value = v.TotalDelay
-					pt.Cached = v.Cached
-					if !v.Cached && len(hints.Out) > 0 {
-						if len(hints.In) > 0 {
-							sc.Counter("sweep.qshare.seeded").Inc()
-						} else {
-							sc.Counter("sweep.qshare.cold").Inc()
-						}
-						hs := &hintSlots[jb.si]
-						hs.mu.Lock()
-						hs.pieces = hints.Out
-						hs.mu.Unlock()
-					}
-					finish(jb, pt, false)
-					if timed {
-						busyNs += time.Since(jobStart).Nanoseconds()
-						points++
-						sc.Histogram("sweep.point.ns").Observe(time.Since(jobStart).Nanoseconds())
-						idleSince = time.Now()
-					}
-					continue
-				}
-				if fatal(err) {
-					abort(err)
-					if timed {
-						idleSince = time.Now()
-					}
-					continue
-				}
-				// Rung 2: degrade to the Equation 4 bound, itself under
-				// a recovery scope (a poisoned function can panic in
-				// Domain/MaxOn too).
-				fb, ferr := guard.Run(g, label+" (Eq.4 fallback)", func() (core.Result, error) {
-					return core.Analyze(g, spec.F, q, core.Options{Method: core.Equation4, Obs: sc, Memo: opts.Memo})
-				})
-				if ferr != nil {
-					if fatal(ferr) {
-						abort(ferr)
-						if timed {
-							idleSince = time.Now()
-						}
-						continue
-					}
-					// Rung 3: quarantine.
-					pt.Value = math.NaN()
-					pt.Degraded = true
-					pt.Quarantined = true
-					pt.Primary = ReasonOf(err)
-					pt.Fallback = ReasonOf(ferr)
-					pt.Note = fmt.Sprintf("%v; fallback: %v", err, ferr)
+		}
+		var hints core.WalkHints
+		v, err := retry.Do(pol, settled, func(attempt int) (core.Result, error) {
+			pt.Attempts = attempt + 1
+			return guard.Run(g, label, func() (core.Result, error) {
+				hs := &hintSlots[jb.si]
+				hs.mu.Lock()
+				in := hs.pieces
+				hs.mu.Unlock()
+				// Fresh Out every attempt: the stored slice is only ever
+				// read (as a later walk's In), never appended to.
+				hints = core.WalkHints{In: in}
+				return core.Analyze(g, spec.F, q, core.Options{Obs: sc, Memo: opts.Memo, Hints: &hints})
+			})
+		})
+		if err == nil {
+			pt.Value = v.TotalDelay
+			pt.Cached = v.Cached
+			if !v.Cached && len(hints.Out) > 0 {
+				if len(hints.In) > 0 {
+					sc.Counter("sweep.qshare.seeded").Inc()
 				} else {
-					pt.Value = fb.TotalDelay
-					pt.Cached = fb.Cached
-					pt.Degraded = true
-					pt.Primary = ReasonOf(err)
-					pt.Note = err.Error()
+					sc.Counter("sweep.qshare.cold").Inc()
 				}
-				finish(jb, pt, false)
-				if timed {
-					busyNs += time.Since(jobStart).Nanoseconds()
-					points++
-					sc.Histogram("sweep.point.ns").Observe(time.Since(jobStart).Nanoseconds())
-					idleSince = time.Now()
-				}
+				hs := &hintSlots[jb.si]
+				hs.mu.Lock()
+				hs.pieces = hints.Out
+				hs.mu.Unlock()
 			}
-			if timed {
-				sc.Histogram("sweep.worker.busy_ns").Observe(busyNs)
-				sc.Histogram("sweep.worker.wait_ns").Observe(waitNs)
-				sc.Histogram("sweep.worker.points").Observe(points)
-				if busyNs+waitNs > 0 {
-					sc.Histogram("sweep.worker.utilization_pct").Observe(100 * busyNs / (busyNs + waitNs))
-				}
+			return true, finish(jb, pt, false)
+		}
+		if fatal(err) {
+			return false, err
+		}
+		// Rung 2: degrade to the Equation 4 bound, itself under a recovery
+		// scope (a poisoned function can panic in Domain/MaxOn too).
+		fb, ferr := guard.Run(g, label+" (Eq.4 fallback)", func() (core.Result, error) {
+			return core.Analyze(g, spec.F, q, core.Options{Method: core.Equation4, Obs: sc, Memo: opts.Memo})
+		})
+		if ferr != nil {
+			if fatal(ferr) {
+				return false, ferr
 			}
-		}()
+			// Rung 3: quarantine.
+			pt.Value = math.NaN()
+			pt.Degraded = true
+			pt.Quarantined = true
+			pt.Primary = ReasonOf(err)
+			pt.Fallback = ReasonOf(ferr)
+			pt.Note = fmt.Sprintf("%v; fallback: %v", err, ferr)
+		} else {
+			pt.Value = fb.TotalDelay
+			pt.Cached = fb.Cached
+			pt.Degraded = true
+			pt.Primary = ReasonOf(err)
+			pt.Note = err.Error()
+		}
+		return true, finish(jb, pt, false)
 	}
-	for si := range specs {
-		for qi := range qs {
-			jobs <- job{si, qi}
+
+	// Per-worker utilisation, observed once per worker after the pool
+	// returns. Only computed points count as busy time; the wait is the
+	// idle gap before each shard.
+	type workerStats struct {
+		busyNs, waitNs, points int64
+		idleSince              time.Time
+	}
+	stats := make([]workerStats, workers)
+	err := runPool("sweep point", workers, total, func(w int) func(int) error {
+		st := &stats[w]
+		if sc != nil {
+			st.idleSince = time.Now()
+		}
+		return func(i int) error {
+			jb := job{i / len(qs), i % len(qs)}
+			if sc == nil {
+				_, err := point(jb)
+				return err
+			}
+			start := time.Now()
+			st.waitNs += start.Sub(st.idleSince).Nanoseconds()
+			computed, err := point(jb)
+			if computed {
+				d := time.Since(start).Nanoseconds()
+				st.busyNs += d
+				st.points++
+				sc.Histogram("sweep.point.ns").Observe(d)
+			}
+			st.idleSince = time.Now()
+			return err
+		}
+	})
+	if sc != nil {
+		for _, st := range stats {
+			sc.Histogram("sweep.worker.busy_ns").Observe(st.busyNs)
+			sc.Histogram("sweep.worker.wait_ns").Observe(st.waitNs)
+			sc.Histogram("sweep.worker.points").Observe(st.points)
+			if st.busyNs+st.waitNs > 0 {
+				sc.Histogram("sweep.worker.utilization_pct").Observe(100 * st.busyNs / (st.busyNs + st.waitNs))
+			}
 		}
 	}
-	close(jobs)
-	wg.Wait()
 
 	completed := 0
 	for _, r := range results {
@@ -701,13 +644,13 @@ func QSweep(g *guard.Ctx, specs []SweepSpec, opts SweepOptions) ([]SweepResult, 
 			}
 		}
 	}
-	if abortErr != nil {
-		sc.Emit(obs.Event{Type: obs.SweepFinished, Completed: completed, Total: total, Err: abortErr.Error()})
+	if err != nil {
+		sc.Emit(obs.Event{Type: obs.SweepFinished, Completed: completed, Total: total, Err: err.Error()})
 		return results, &PartialError{
 			Results:   results,
 			Completed: completed,
 			Total:     total,
-			Err:       abortErr,
+			Err:       err,
 		}
 	}
 	sc.Emit(obs.Event{Type: obs.SweepFinished, Completed: completed, Total: total})

@@ -3,11 +3,16 @@ package eval
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
+	"fnpr/internal/core"
 	"fnpr/internal/delay"
 	"fnpr/internal/guard"
+	"fnpr/internal/memo"
 )
 
 // poisonedFunction wraps a real delay function and panics inside
@@ -162,5 +167,68 @@ func TestQSweepBudgetAborts(t *testing.T) {
 	}
 	if done != pe.Completed {
 		t.Fatalf("Done points %d disagree with PartialError.Completed %d", done, pe.Completed)
+	}
+}
+
+// TestQSweepDeterministicAcrossWorkers: every point of a sweep is a pure
+// function of its (spec, Q), so the table must be bit-identical for 1, 4 and
+// GOMAXPROCS workers. The fixture mixes clean points, memo hits (a cache
+// pre-warmed with half the specs), diverged (+Inf) points and points degraded
+// after retried panics.
+func TestQSweepDeterministicAcrossWorkers(t *testing.T) {
+	_, fns := memoTestSet(t, rand.New(rand.NewSource(13)), 6)
+	base, err := delay.NewPiecewise([]float64{0, 5, 10, 40}, []float64{2, 6, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []SweepSpec
+	for i, f := range fns {
+		specs = append(specs, SweepSpec{Name: "s" + itoa(i), F: f})
+	}
+	// The poisoned curve diverges at Q <= 6 and degrades at Q=9 and Q=20
+	// after three attempts each.
+	specs = append(specs, SweepSpec{Name: "poisoned", F: poisonedFunction{base, 20}})
+	qs := []float64{3, 4.5, 6, 7.25, 9, 15, 20, 25}
+
+	run := func(workers int) []SweepResult {
+		cache := core.NewResultCache(memo.Options{})
+		if _, err := QSweep(nil, specs[:3], SweepOptions{Qs: qs, Workers: 1, Memo: cache}); err != nil {
+			t.Fatalf("warm-up: %v", err)
+		}
+		res, err := QSweep(nil, specs, SweepOptions{Qs: qs, Workers: workers, Memo: cache, Retry: noSleepRetry(3)})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res
+	}
+	want := run(1)
+	var cached, degraded, diverged int
+	for _, r := range want {
+		for _, pt := range r.Points {
+			if pt.Cached {
+				cached++
+			}
+			if pt.Degraded {
+				degraded++
+			}
+			if math.IsInf(pt.Value, 1) {
+				diverged++
+			}
+		}
+	}
+	if cached == 0 || degraded == 0 || diverged == 0 {
+		t.Fatalf("fixture lost coverage: %d cached, %d degraded, %d diverged points", cached, degraded, diverged)
+	}
+	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+		got := run(workers)
+		for s := range want {
+			for k, w := range want[s].Points {
+				g := got[s].Points[k]
+				if math.Float64bits(g.Value) != math.Float64bits(w.Value) ||
+					g.Cached != w.Cached || g.Degraded != w.Degraded || g.Attempts != w.Attempts {
+					t.Fatalf("workers=%d %s Q=%g: got %+v, want %+v", workers, want[s].Name, w.Q, g, w)
+				}
+			}
+		}
 	}
 }

@@ -108,9 +108,6 @@ func (p Policy) attempts() int {
 	return p.MaxAttempts
 }
 
-// Retries returns how many retries the policy grants after the first attempt.
-func (p Policy) Retries() int { return p.attempts() - 1 }
-
 // Delay returns the backoff before retry n (n = 0 is the first retry),
 // without jitter: MinDelay * Growth^n clamped into [0, MaxDelay].
 func (p Policy) Delay(n int) time.Duration {

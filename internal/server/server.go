@@ -476,10 +476,14 @@ func (s *Server) worker() {
 // runJob executes one campaign under its own guard scope (derived from the
 // server's job context so a forced stop cancels it), with panic isolation
 // via guard.Run and, for journaled acceptance campaigns, the checkpoint
-// journal opened for the duration of the run. With a durable store the
-// running and terminal transitions are appended to the manifest; a persist
-// failure is counted (server.store.errors), never silent, and does not take
-// the in-memory job down with it.
+// journal opened for the duration of the run. guard.Run covers only this
+// goroutine; the campaign's shards run on eval's worker pool, which
+// recovers each shard's panic into the same guard.ErrPanic error, so a
+// panicking trial fails the job (counted by server.panics_recovered) at
+// every worker count instead of crashing the process. With a durable store
+// the running and terminal transitions are appended to the manifest; a
+// persist failure is counted (server.store.errors), never silent, and does
+// not take the in-memory job down with it.
 func (s *Server) runJob(j *job) {
 	running := s.sc.Gauge("server.jobs.running")
 	running.Add(1)
