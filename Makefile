@@ -96,10 +96,11 @@ bench-pr10:
 # one fails, and the target fails if any did. The benchtime is a duration,
 # not an iteration count, so Go scales iterations per benchmark: the sub-µs
 # kernels get the millions of iterations they need for a stable ns/op.
-# The rows, in order: analysis kernels, result cache, fixpoint layer, exact
-# exploration.
+# The rows, in order: analysis kernels, campaign layer, result cache,
+# fixpoint layer, exact exploration.
 BENCH_REGRESS_ROWS = \
 	'$(BENCH_JSON):Figure5Sweep/kernel=|IndexedKernel' \
+	'BENCH_PR5.json:AcceptanceCampaign|SimTrial' \
 	'BENCH_PR8.json:MemoSweep|AnalyzeSetEdit' \
 	'BENCH_PR9.json:RTASolver' \
 	'BENCH_PR10.json:Exact(Delay|SAG|Memo)'

@@ -22,7 +22,7 @@ import (
 // draw random task sets, and measure the fraction each analysis admits.
 type AcceptanceParams struct {
 	// Seed makes the experiment reproducible. Every (point, trial) shard
-	// derives its own RNG sub-stream from it (synth.SubRand), so the
+	// derives its own RNG sub-stream from it (synth.SubSeed), so the
 	// campaign's output is a pure function of the seed — never of the
 	// worker count or goroutine scheduling.
 	Seed int64
@@ -195,9 +195,9 @@ type acceptanceVerdict struct {
 }
 
 // acceptanceTrial draws the (point, trial) shard's task set from its own RNG
-// sub-stream and runs the four analyses. Analysis failures count as
-// rejections (the set is not admitted) unless the guard aborted, which stops
-// the campaign.
+// sub-stream, reseeding the worker's stream st, and runs the four analyses.
+// Analysis failures count as rejections (the set is not admitted) unless the
+// guard aborted, which stops the campaign.
 //
 // The response-time fixpoints are warm-chained: delay bounds are
 // non-negative, so the no-delay response times lower-bound every delay-aware
@@ -205,13 +205,12 @@ type acceptanceVerdict struct {
 // vector is pointwise smaller). Seeding is sound in that direction and keeps
 // every result bit-identical (see sched.Options.Warm); it only trims
 // fixpoint iterations.
-func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, trial int) (acceptanceVerdict, error) {
+func acceptanceTrial(g *guard.Ctx, p AcceptanceParams, point int, u float64, trial int, st *synth.Stream) (acceptanceVerdict, error) {
 	var v acceptanceVerdict
 	if err := g.Tick(); err != nil {
 		return v, err
 	}
-	r := synth.SubRand(p.Seed, point, trial)
-	ts, err := synth.TaskSet(r, synth.TaskSetParams{
+	ts, err := synth.TaskSet(st.Rand(p.Seed, point, trial), synth.TaskSetParams{
 		N: p.Tasks, Utilization: u,
 		PeriodLo: 20, PeriodHi: 2000, RoundPeriod: true,
 		QFraction: p.QFraction, MinQ: 0.1,
@@ -346,12 +345,13 @@ func Acceptance(g *guard.Ctx, p AcceptanceParams) (*textplot.Table, error) {
 		pointLeft[i].Store(int64(p.SetsPerPoint))
 	}
 	err := runPool("acceptance trial", p.Workers, total, func(int) func(int) error {
+		st := synth.NewStream() // per-worker reseeded RNG
 		return func(idx int) error {
 			pt := idx / p.SetsPerPoint
 			if restored[pt] {
 				return nil
 			}
-			v, err := acceptanceTrial(g, p, pt, pts[pt], idx%p.SetsPerPoint)
+			v, err := acceptanceTrial(g, p, pt, pts[pt], idx%p.SetsPerPoint, st)
 			if err != nil {
 				return err
 			}

@@ -123,16 +123,16 @@ type atlasCell struct {
 
 // atlasCellRun computes one cell: FuncsPerCell random functions of the
 // family, each measured exact vs Algorithm 1 vs Equation 4. The cell is a
-// pure function of (Seed, cell index); ex is the worker's pooled explorer.
-func atlasCellRun(g *guard.Ctx, p AtlasParams, fam int, qi int, ex *exact.Explorer, sc *obs.Scope) (atlasCell, error) {
+// pure function of (Seed, cell index); ex is the worker's pooled explorer
+// and st its reseeded RNG stream.
+func atlasCellRun(g *guard.Ctx, p AtlasParams, fam int, qi int, ex *exact.Explorer, st *synth.Stream, sc *obs.Scope) (atlasCell, error) {
 	var cell atlasCell
 	q := p.Qs[qi]
 	for trial := 0; trial < p.FuncsPerCell; trial++ {
 		if err := g.Tick(); err != nil {
 			return cell, err
 		}
-		r := synth.SubRand(p.Seed, fam*len(p.Qs)+qi, trial)
-		f, err := atlasFunction(r, atlasFamilies[fam], p.C, q)
+		f, err := atlasFunction(st.Rand(p.Seed, fam*len(p.Qs)+qi, trial), atlasFamilies[fam], p.C, q)
 		if err != nil {
 			return cell, err
 		}
@@ -193,8 +193,9 @@ func Atlas(g *guard.Ctx, p AtlasParams) (*textplot.Table, error) {
 	var completed atomic.Int64
 	err := runPool("atlas cell", p.Workers, cellsTotal, func(int) func(int) error {
 		ex := exact.NewExplorer() // per-worker pooled explorer
+		st := synth.NewStream()
 		return func(i int) error {
-			c, err := atlasCellRun(g, p, i/len(p.Qs), i%len(p.Qs), ex, sc)
+			c, err := atlasCellRun(g, p, i/len(p.Qs), i%len(p.Qs), ex, st, sc)
 			if err != nil {
 				return err
 			}

@@ -19,7 +19,7 @@ import (
 // every simulated job actually paid.
 type MonteCarloParams struct {
 	// Seed makes the campaign reproducible; each trial draws from its
-	// own sub-stream (synth.SubRand), so results are independent of the
+	// own sub-stream (synth.SubSeed), so results are independent of the
 	// worker count.
 	Seed int64
 	// Trials is the number of random jobsets to simulate.
@@ -86,17 +86,18 @@ type mcVerdict struct {
 	maxPaid, minSlack             float64
 }
 
-// monteCarloTrial draws the trial's jobset from its own RNG sub-stream,
-// simulates it on the (per-worker, pooled) runner and compares every job's
-// paid delay against its task's Algorithm 1 bound. The generator mirrors the
-// sim package's Theorem 1 integration test: peaked random delay functions
-// with Q > max delay so every bound converges.
-func monteCarloTrial(g *guard.Ctx, p MonteCarloParams, trial int, runner *sim.Runner) (mcVerdict, error) {
+// monteCarloTrial draws the trial's jobset from its own RNG sub-stream
+// (reseeding the worker's stream st), simulates it on the (per-worker,
+// pooled) runner and compares every job's paid delay against its task's
+// Algorithm 1 bound. The generator mirrors the sim package's Theorem 1
+// integration test: peaked random delay functions with Q > max delay so
+// every bound converges.
+func monteCarloTrial(g *guard.Ctx, p MonteCarloParams, trial int, runner *sim.Runner, st *synth.Stream) (mcVerdict, error) {
 	v := mcVerdict{minSlack: math.Inf(1)}
 	if err := g.Tick(); err != nil {
 		return v, err
 	}
-	r := synth.SubRand(p.Seed, 0, trial)
+	r := st.Rand(p.Seed, 0, trial)
 	n := 2 + r.Intn(p.MaxTasks-1)
 	ts := make(task.Set, 0, n)
 	fns := make([]delay.Function, 0, n)
@@ -179,8 +180,9 @@ func MonteCarlo(g *guard.Ctx, p MonteCarloParams) (*MonteCarloReport, error) {
 	var completed atomic.Int64
 	err := runPool("montecarlo trial", p.Workers, p.Trials, func(int) func(int) error {
 		runner := sim.NewRunner() // per-worker pooled simulator
+		st := synth.NewStream()
 		return func(tr int) error {
-			v, err := monteCarloTrial(g, p, tr, runner)
+			v, err := monteCarloTrial(g, p, tr, runner, st)
 			if err != nil {
 				return err
 			}

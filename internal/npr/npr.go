@@ -191,37 +191,42 @@ func FPBlockingToleranceCtx(g *guard.Ctx, ts task.Set) ([]float64, error) {
 		return nil, guard.Invalidf("npr: empty task set")
 	}
 	out := make([]float64, len(ts))
+	// next[j] is the next multiple of τj's period, accumulated by repeated
+	// addition. The level-i points are the distinct multiples below Di in
+	// ascending order, then Di itself: a k-way merge of the i sequences
+	// that advances every head equal to the point just visited.
+	next := make([]float64, len(ts))
 	for i, tk := range ts {
-		points := schedulingPoints(ts, i, tk.Deadline())
+		limit := tk.Deadline()
+		for j := 0; j < i; j++ {
+			next[j] = ts[j].T
+		}
 		best := math.Inf(-1)
-		for _, t := range points {
+		for {
+			t := limit
+			for j := 0; j < i; j++ {
+				if next[j] < t {
+					t = next[j]
+				}
+			}
 			if err := g.Tick(); err != nil {
 				return nil, err
 			}
 			if s := t - RequestBound(ts, i, t); s > best {
 				best = s
 			}
+			if t == limit {
+				break
+			}
+			for j := 0; j < i; j++ {
+				if next[j] == t {
+					next[j] += ts[j].T
+				}
+			}
 		}
 		out[i] = best
 	}
 	return out, nil
-}
-
-// schedulingPoints lists the candidate points for the level-i analysis:
-// all multiples of higher-priority periods up to limit, plus limit itself.
-func schedulingPoints(ts task.Set, i int, limit float64) []float64 {
-	set := map[float64]struct{}{limit: {}}
-	for j := 0; j < i; j++ {
-		for t := ts[j].T; t < limit; t += ts[j].T {
-			set[t] = struct{}{}
-		}
-	}
-	out := make([]float64, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Float64s(out)
-	return out
 }
 
 // Policy selects the scheduling policy Q is derived for.

@@ -123,9 +123,11 @@ func limitedAnalysis(g *guard.Ctx, sc *obs.Scope, ts task.Set, opts Options) (*L
 }
 
 // countAt bounds task i's preemptions by the higher-priority releases within
-// the horizon.
+// the horizon. The period and jitter slices live on the stack for sets of up
+// to 16 tasks.
 func countAt(ts task.Set, i int, horizon float64) (int, error) {
-	var periods, jitters []float64
+	var pbuf, jbuf [16]float64
+	periods, jitters := pbuf[:0], jbuf[:0]
 	for j := 0; j < i; j++ {
 		periods = append(periods, ts[j].T)
 		jitters = append(jitters, ts[j].Jitter)

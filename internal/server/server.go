@@ -56,6 +56,17 @@ const (
 	DefaultMaxJobs        = 1024
 )
 
+// Connection timeouts of the HTTP side. They bound how long a slow or
+// stalled client can hold a connection open; handler time is bounded by the
+// per-request guard deadline instead. There is deliberately no write
+// timeout: a synchronous analysis may run for up to Config.MaxTimeout, and
+// a write timeout below that would cut off its answer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute // the header plus a body of up to 1 MiB
+	idleTimeout       = 2 * time.Minute
+)
+
 // Config configures the service. The zero value of every field selects a
 // sensible default; Addr ":0" binds an ephemeral port (tests).
 type Config struct {
@@ -230,7 +241,12 @@ func New(cfg Config) *Server {
 	}
 	s.jobCtx, s.jobStop = context.WithCancel(context.Background())
 	s.mux = s.routes()
-	s.http = &http.Server{Handler: s.mux}
+	s.http = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s
 }
 

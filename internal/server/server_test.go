@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -527,5 +528,43 @@ func TestRequestMetrics(t *testing.T) {
 	}
 	if fmt.Sprint(reg.Gauge("server.queue.capacity").Value()) != fmt.Sprint(float64(DefaultQueueCap)) {
 		t.Fatalf("queue.capacity = %g", reg.Gauge("server.queue.capacity").Value())
+	}
+}
+
+// TestSlowHeaderClientDisconnected pins the connection timeouts: a client
+// that sends part of a request header and then stalls has its connection
+// closed once the header timeout passes, instead of holding it forever.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	s := New(Config{Addr: "127.0.0.1:0", Registry: obs.NewRegistry()})
+	h := s.http
+	if h.ReadHeaderTimeout != readHeaderTimeout || h.ReadTimeout != readTimeout || h.IdleTimeout != idleTimeout {
+		t.Fatalf("timeouts header=%v read=%v idle=%v, want %v/%v/%v",
+			h.ReadHeaderTimeout, h.ReadTimeout, h.IdleTimeout, readHeaderTimeout, readTimeout, idleTimeout)
+	}
+	if h.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout = %v would cut off analyses running up to the guard deadline", h.WriteTimeout)
+	}
+	// Shorten the header timeout so the test does not wait the real one.
+	h.ReadHeaderTimeout = 200 * time.Millisecond
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/analyze HTTP/1.1\r\nHost: fnpr\r\nContent-Type: app"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection not closed by the server: %v", err)
+	}
+	if waited := time.Since(start); waited < 100*time.Millisecond {
+		t.Fatalf("connection closed after %v, before the header timeout", waited)
 	}
 }

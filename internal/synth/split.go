@@ -40,7 +40,9 @@ func SubSeed(seed int64, point, trial int) int64 {
 }
 
 // SubRand returns a *rand.Rand seeded for the (point, trial) shard — the
-// generator a campaign worker draws one trial's inputs from.
+// generator a campaign worker draws one trial's inputs from. Its sequence is
+// rand.NewSource(SubSeed(seed, point, trial))'s; campaign workers reseed one
+// Stream per trial instead of building a generator each time.
 func SubRand(seed int64, point, trial int) *rand.Rand {
-	return rand.New(rand.NewSource(SubSeed(seed, point, trial)))
+	return NewStream().Rand(seed, point, trial)
 }
